@@ -41,28 +41,31 @@ def kr_qchar(c: CartanData, lbl: KRLabel) -> YPolynomial:
     c.check_node(lbl.i)
     if lbl.k < 0:
         raise InvalidInputError("string length must be >= 0")
-    delta = (lbl.s - c.xi[lbl.i - 1]) % 2
-    if delta:
-        return _kr(c, lbl.i, lbl.k, lbl.s - 1).shift(1)
-    return _kr(c, lbl.i, lbl.k, lbl.s)
+    return _kr_at(c, lbl.i, lbl.k, lbl.s)
 
 
-def _kr(c: CartanData, i: int, k: int, s: int) -> YPolynomial:
-    key = (c, i, k, s)
+def _kr_at(c: CartanData, i: int, k: int, s: int) -> YPolynomial:
+    return _kr(c, i, k).shift(s - c.xi[i - 1])
+
+
+def _kr(c: CartanData, i: int, k: int) -> YPolynomial:
+    """KR q-character of (i, k) at the base shift xi_i, cached per (c, i, k)."""
+    key = (c, i, k)
     if key in _KR_CACHE:
         return _KR_CACHE[key]
+    s = c.xi[i - 1]
     if k == 0:
         val = YPolynomial.one()
     elif k == 1:
         val = preproj.fundamental_qchar(c, i, s)
     else:
-        lhs = _kr(c, i, k - 1, s) * _kr(c, i, k - 1, s + 2)
+        lhs = _kr(c, i, k - 1) * _kr_at(c, i, k - 1, s + 2)
         prod = YPolynomial.one()
         for j in c.neighbors(i):
-            prod = prod * _kr(c, j, k - 1, s + 1)
+            prod = prod * _kr_at(c, j, k - 1, s + 1)
         numerator = lhs - prod
         try:
-            val = numerator.exact_div(_kr(c, i, k - 2, s + 2))
+            val = numerator.exact_div(_kr_at(c, i, k - 2, s + 2))
         except ValueError as exc:
             raise ConsistencyError(
                 f"T-system division failed at (i={i}, k={k}, s={s}): {exc}")

@@ -191,10 +191,3 @@ def subspaces_of(basis, k, ncols, field):
         rows = mat_mul(pat, basis, field)
         yield span_canonical(rows, ncols, field)
 
-
-def gaussian_binomial(n, k, p):
-    num, den = 1, 1
-    for t in range(k):
-        num *= p ** (n - t) - 1
-        den *= p ** (t + 1) - 1
-    return num // den

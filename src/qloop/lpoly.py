@@ -1,19 +1,46 @@
 """Sparse Laurent polynomials with exact integer coefficients.
 
-A monomial is a tuple of (key, exponent) pairs, sorted by key, with all
-exponents nonzero; keys can be anything hashable and mutually comparable
-(plain ints, (node, shift) pairs, string-tagged tuples).  The empty tuple
-is the unit monomial.  `LPoly` stores a monomial -> coefficient dict and
-is treated as immutable after construction.
+Outside this module a monomial is a tuple of (key, exponent) pairs,
+sorted by key, with distinct keys and nonzero exponents; keys can be
+anything hashable, and the keys of one monomial must be mutually
+comparable (plain ints, (node, shift) pairs, string-tagged tuples).
+The empty tuple is the unit monomial.
+
+Inside `LPoly` a monomial is one Python int, the packed layout of
+Monagan and Pearce.  A process-wide slot table gives every key a slot,
+and the monomial prod x_k^e_k is the int sum e_k * 2**(W * slot_k) with
+signed (balanced) digits of W bits.  The unit monomial is 0, a product
+of monomials is an int sum and an inverse is a negation.  Comparing the
+ints is a group order on monomials (lex, highest slot first), which the
+long division uses.
+
+Every exponent lies in [-EXP_MAX, EXP_MAX].  EXP_MAX leaves two spare
+bits per digit, so the difference of two exponents still fits a digit
+and a digit lifted by 2**(W-2) leaves its top bit free as a guard bit.
+Each polynomial carries an upper bound on the absolute values of its
+exponents; an operation whose result could leave the range raises
+OverflowError instead of wrapping a digit.  `LPoly` is immutable after
+construction.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 Mono = tuple
 
 ONE_MONO: Mono = ()
+
+_W = 16
+EXP_MAX = (1 << (_W - 2)) - 1
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+
+# The slot table interns keys: it grows with the distinct keys the
+# process meets and is never cleared, since packed ints refer to it.
+_OFFSETS: dict = {}     # key -> bit offset W * slot
+_KEYS: list = []        # slot -> key
 
 
 def mono(pairs) -> Mono:
@@ -38,30 +65,139 @@ def mono_pow(a: Mono, n: int) -> Mono:
     return tuple((k, e * n) for k, e in a)
 
 
-def mono_inv(a: Mono) -> Mono:
-    return mono_pow(a, -1)
+# --- the packed layout --------------------------------------------------------
+
+def _offset(key) -> int:
+    off = _OFFSETS.get(key)
+    if off is None:
+        off = _OFFSETS[key] = _W * len(_KEYS)
+        _KEYS.append(key)
+    return off
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    return mono_mul(a, mono_inv(b))
+def _ones() -> int:
+    """1 in the lowest bit of every digit of the current slot table."""
+    return ((1 << (_W * len(_KEYS))) - 1) // _MASK
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(f"exponent could leave the packed digit range "
+                         f"[-{EXP_MAX}, {EXP_MAX}]")
+
+
+def _encode(m: Mono) -> tuple:
+    """Packed int of a tuple monomial, and its largest |exponent|."""
+    p = bound = 0
+    for key, e in m:
+        a = e if e > 0 else -e
+        if a > bound:
+            bound = a
+        p += e << _offset(key)
+    if bound > EXP_MAX:
+        raise _overflow()
+    return p, bound
+
+
+def _digits(p: int) -> list:
+    """(slot, exponent) pairs of the nonzero digits of a packed int."""
+    out = []
+    slot = 0
+    while p:
+        skip = ((p & -p).bit_length() - 1) // _W
+        p >>= _W * skip
+        slot += skip
+        e = ((p + _HALF) & _MASK) - _HALF
+        out.append((slot, e))
+        p = (p - e) >> _W
+        slot += 1
+    return out
+
+
+def _decode(p: int) -> Mono:
+    return tuple(sorted((_KEYS[s], e) for s, e in _digits(p)))
+
+
+def _box(monos) -> tuple:
+    """Digit-wise minimum and maximum of nonempty packed monomials.
+
+    Absent keys count as exponent 0.  Each digit is lifted into
+    [1, 2**(W-1)), and one subtraction per monomial compares all digits
+    at once through their guard bits.
+    """
+    ones = _ones()
+    lift = ones << (_W - 2)
+    guard = ones << (_W - 1)
+    it = iter(monos)
+    lo = hi = next(it) + lift
+    for p in it:
+        y = p + lift
+        g = ((hi | guard) - y) & guard      # digits where hi >= y
+        keep = g - (g >> (_W - 1))
+        hi = (hi & keep) | (y & ~keep)
+        g = ((lo | guard) - y) & guard      # digits where lo >= y
+        take = g - (g >> (_W - 1))
+        lo = (y & take) | (lo & ~take)
+    return lo - lift, hi - lift
+
+
+def _max_abs(*packed) -> int:
+    return max((abs(e) for p in packed for _, e in _digits(p)), default=0)
+
+
+def _product_bound(a: "LPoly", b: "LPoly") -> int:
+    """Bound on the exponents of a * b; raises when one could overflow.
+
+    The sum of the two bounds usually settles it.  Otherwise the digit
+    boxes of a and b give the exact bounds of both, which are stored,
+    and the box of the product lies inside their digit-wise sum.
+    """
+    if not (a.terms and b.terms):
+        return 0
+    bound = a._bound + b._bound
+    if bound > EXP_MAX:
+        (alo, ahi), (blo, bhi) = _box(a.terms), _box(b.terms)
+        a._bound, b._bound = _max_abs(alo, ahi), _max_abs(blo, bhi)
+        bound = _max_abs(alo + blo, ahi + bhi)
+        if bound > EXP_MAX:
+            raise _overflow()
+    return bound
+
+
+def _packed(data: dict, bound: int) -> "LPoly":
+    out = LPoly.__new__(LPoly)
+    out.terms = data
+    out._bound = bound
+    out._canon = None
+    return out
 
 
 class LPoly:
-    """Integer-coefficient Laurent polynomial, keyed by monomials."""
+    """Integer-coefficient Laurent polynomial, keyed by packed monomials.
 
-    __slots__ = ("terms",)
+    `terms` maps packed ints to nonzero coefficients; the constructor,
+    `var`, `monomial` and `coeff` take tuple monomials, and `items` and
+    `canonical` give them back sorted.
+    """
+
+    __slots__ = ("terms", "_bound", "_canon")
 
     def __init__(self, terms=None):
         data = {}
+        bound = 0
         if terms:
             for m, c in (terms.items() if hasattr(terms, "items") else terms):
                 if c:
-                    nc = data.get(m, 0) + c
+                    p, b = _encode(m)
+                    if b > bound:
+                        bound = b
+                    nc = data.get(p, 0) + c
                     if nc:
-                        data[m] = nc
+                        data[p] = nc
                     else:
-                        del data[m]
+                        del data[p]
         self.terms = data
+        self._bound = bound
+        self._canon = None
 
     @classmethod
     def zero(cls) -> "LPoly":
@@ -77,7 +213,7 @@ class LPoly:
 
     @classmethod
     def var(cls, key, exp: int = 1) -> "LPoly":
-        return cls({mono([(key, exp)]): 1})
+        return cls({((key, exp),): 1})
 
     @classmethod
     def monomial(cls, m: Mono, c: int = 1) -> "LPoly":
@@ -91,41 +227,42 @@ class LPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {ONE_MONO: other})
+            return self.terms == ({} if other == 0 else {0: other})
         return isinstance(other, LPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(self.canonical())
 
     def canonical(self) -> tuple:
-        """Deterministic serialization: terms sorted by monomial."""
-        return tuple(sorted(self.terms.items()))
+        """Deterministic serialization: terms sorted by tuple monomial."""
+        if self._canon is None:
+            self._canon = tuple(sorted((_decode(p), c)
+                                       for p, c in self.terms.items()))
+        return self._canon
 
     def items(self):
-        return sorted(self.terms.items())
+        return list(self.canonical())
 
     def coeff(self, m: Mono) -> int:
-        return self.terms.get(m, 0)
+        return self.terms.get(_encode(m)[0], 0)
 
     def const_term(self) -> int:
-        return self.terms.get(ONE_MONO, 0)
+        return self.terms.get(0, 0)
 
     def __neg__(self) -> "LPoly":
-        return LPoly({m: -c for m, c in self.terms.items()})
+        return _packed({p: -c for p, c in self.terms.items()}, self._bound)
 
     def __add__(self, other) -> "LPoly":
         if isinstance(other, int):
             other = LPoly.const(other)
         data = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = data.get(m, 0) + c
+        for p, c in other.terms.items():
+            nc = data.get(p, 0) + c
             if nc:
-                data[m] = nc
+                data[p] = nc
             else:
-                data.pop(m, None)
-        out = LPoly.__new__(LPoly)
-        out.terms = data
-        return out
+                data.pop(p, None)
+        return _packed(data, max(self._bound, other._bound))
 
     __radd__ = __add__
 
@@ -141,19 +278,19 @@ class LPoly:
         if isinstance(other, int):
             if other == 0:
                 return LPoly.zero()
-            return LPoly({m: c * other for m, c in self.terms.items()})
+            return _packed({p: c * other for p, c in self.terms.items()},
+                           self._bound)
+        bound = _product_bound(self, other)
         data = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                nc = data.get(m, 0) + c1 * c2
-                if nc:
-                    data[m] = nc
-                else:
-                    del data[m]
-        out = LPoly.__new__(LPoly)
-        out.terms = data
-        return out
+        get = data.get
+        rhs = list(other.terms.items())
+        for p1, c1 in self.terms.items():
+            for p2, c2 in rhs:
+                p = p1 + p2
+                data[p] = get(p, 0) + c1 * c2
+        if 0 in data.values():
+            data = {p: c for p, c in data.items() if c}
+        return _packed(data, bound)
 
     __rmul__ = __mul__
 
@@ -171,37 +308,47 @@ class LPoly:
 
     def map_keys(self, fn: Callable) -> "LPoly":
         """Relabel variable keys through fn (must stay injective)."""
-        return LPoly(
-            {mono((fn(k), e) for k, e in m): c for m, c in self.terms.items()}
-        )
+        offsets = {}
+        data = {}
+        for p, c in self.terms.items():
+            q = 0
+            for slot, e in _digits(p):
+                off = offsets.get(slot)
+                if off is None:
+                    off = offsets[slot] = _offset(fn(_KEYS[slot]))
+                q += e << off
+            data[q] = c
+        return _packed(data, self._bound)
 
     def subs_one(self, drop: Callable) -> "LPoly":
         """Set every variable with drop(key) true to 1."""
+        dropped = {}
         data = {}
-        for m, c in self.terms.items():
-            mm = tuple((k, e) for k, e in m if not drop(k))
-            nc = data.get(mm, 0) + c
+        for p, c in self.terms.items():
+            q = p
+            for slot, e in _digits(p):
+                gone = dropped.get(slot)
+                if gone is None:
+                    gone = dropped[slot] = bool(drop(_KEYS[slot]))
+                if gone:
+                    q -= e << (_W * slot)
+            nc = data.get(q, 0) + c
             if nc:
-                data[mm] = nc
+                data[q] = nc
             else:
-                del data[mm]
-        return LPoly(data)
+                del data[q]
+        return _packed(data, self._bound)
 
     def support_keys(self) -> set:
-        keys = set()
-        for m in self.terms:
-            for k, _ in m:
-                keys.add(k)
-        return keys
+        return {_KEYS[s] for p in self.terms for s, _ in _digits(p)}
 
     def min_exponent(self, key) -> int:
         """Minimum exponent of key over the terms (missing key counts 0)."""
-        best = None
-        for m in self.terms:
-            e = dict(m).get(key, 0)
-            if best is None or e < best:
-                best = e
-        return best or 0
+        off = _OFFSETS.get(key)
+        if off is None or not self.terms:
+            return 0
+        lift = _ones() << (_W - 1)
+        return min(((p + lift) >> off) & _MASK for p in self.terms) - _HALF
 
     def exact_div(self, other: "LPoly") -> "LPoly":
         """Exact division; raises ValueError when the division is not exact."""
@@ -213,50 +360,60 @@ class LPoly:
             ((m, c),) = other.terms.items()
             if any(x % c for x in self.terms.values()):
                 raise ValueError("inexact coefficient division")
-            inv = mono_inv(m)
-            return LPoly({mono_mul(t, inv): x // c for t, x in self.terms.items()})
+            bound = _product_bound(self, _packed({-m: 1}, other._bound))
+            return _packed({p - m: x // c for p, x in self.terms.items()},
+                           bound)
         return _long_division(self, other)
 
 
 def _long_division(f: LPoly, g: LPoly) -> LPoly:
-    keys = sorted(f.support_keys() | g.support_keys())
-    index = {k: i for i, k in enumerate(keys)}
-    nk = len(keys)
+    """f / g for a divisor of two or more terms, by leading terms.
 
-    def dense(m: Mono, shift) -> tuple:
-        row = list(shift)
-        for k, e in m:
-            row[index[k]] += e
-        return tuple(row)
-
-    # shift both operands into plain polynomials with no common monomial factor
-    shift_f = [-f.min_exponent(k) for k in keys]
-    shift_g = [-g.min_exponent(k) for k in keys]
-    r = {dense(m, shift_f): c for m, c in f.terms.items()}
-    gd = {dense(m, shift_g): c for m, c in g.terms.items()}
-    lg = max(gd)
-    cg = gd[lg]
+    The remainder's leading monomial comes off a heap of packed ints.
+    Every quotient term must lie digit by digit in the box
+    [min f - min g, max f - max g]: every exact quotient does (Newton
+    polytopes add), the remainder then stays inside f's box so no digit
+    can overflow, and the quotient terms strictly decrease inside a
+    finite box, so an inexact division ends with ValueError.
+    """
+    flo, fhi = _box(f.terms)
+    glo, ghi = _box(g.terms)
+    lo, hi = flo - glo, fhi - ghi
+    # each difference tested below has digits in (-2**(W-1), 2**(W-1)),
+    # so it is nonnegative in every digit iff no guard bit is set
+    guard = _ones() << (_W - 1)
+    if (hi - lo) & guard:
+        raise ValueError("inexact polynomial division (monomial)")
+    bound = _max_abs(lo, hi)
+    if bound > EXP_MAX:
+        raise _overflow()
+    lg = max(g.terms)
+    cg = g.terms[lg]
+    rest = [(p, c) for p, c in g.terms.items() if p != lg]
+    r = dict(f.terms)
+    heap = [-p for p in r]
+    heapify(heap)
     quotient = {}
-    while r:
-        lr = max(r)
-        if any(a < b for a, b in zip(lr, lg)):
+    while heap:
+        lr = -heappop(heap)
+        cr = r.pop(lr, 0)
+        if not cr:
+            continue
+        t = lr - lg
+        if ((t - lo) | (hi - t)) & guard:
             raise ValueError("inexact polynomial division (monomial)")
-        if r[lr] % cg:
+        if cr % cg:
             raise ValueError("inexact polynomial division (coefficient)")
-        t = tuple(a - b for a, b in zip(lr, lg))
-        ct = r[lr] // cg
-        quotient[t] = quotient.get(t, 0) + ct
-        for m, c in gd.items():
-            mm = tuple(a + b for a, b in zip(t, m))
-            nc = r.get(mm, 0) - ct * c
-            if nc:
-                r[mm] = nc
+        ct = cr // cg
+        quotient[t] = ct
+        for p, c in rest:
+            p += t
+            old = r.get(p)
+            if old is None:
+                r[p] = -ct * c
+                heappush(heap, -p)
+            elif old == ct * c:
+                del r[p]
             else:
-                r.pop(mm, None)
-    # undo the normalization shifts
-    back = [sg - sf for sf, sg in zip(shift_f, shift_g)]
-    out = {}
-    for t, c in quotient.items():
-        m = mono((keys[i], t[i] + back[i]) for i in range(nk))
-        out[m] = c
-    return LPoly(out)
+                r[p] = old - ct * c
+    return _packed(quotient, bound)

@@ -223,6 +223,8 @@ class YPolynomial:
 
     def shift(self, t: int) -> "YPolynomial":
         """Shift every spectral exponent by t (twist by q^t)."""
+        if not t:
+            return self
         return YPolynomial(self.poly.map_keys(lambda k: (k[0], k[1] + t)))
 
 

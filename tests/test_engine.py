@@ -42,6 +42,29 @@ def test_kr_parity_shift():
     assert kr_qchar(A1, KRLabel(1, 2, 1)) == kr_qchar_sl2(2, 1)
 
 
+def _kr_direct(c, i, k, s):
+    """The T-system recursion at shift s itself, with no cache."""
+    from qloop.preproj import fundamental_qchar
+    if k == 0:
+        return YPolynomial.one()
+    if k == 1:
+        return fundamental_qchar(c, i, s)
+    lhs = _kr_direct(c, i, k - 1, s) * _kr_direct(c, i, k - 1, s + 2)
+    prod = YPolynomial.one()
+    for j in c.neighbors(i):
+        prod = prod * _kr_direct(c, j, k - 1, s + 1)
+    return (lhs - prod).exact_div(_kr_direct(c, i, k - 2, s + 2))
+
+
+def test_kr_cache_is_normalized_by_shift(monkeypatch):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    for i in A3.nodes():
+        for s in (A3.xi[i - 1], A3.xi[i - 1] + 4):
+            assert kr_qchar(A3, KRLabel(i, 3, s)) == _kr_direct(A3, i, 3, s)
+    assert sorted(engine._KR_CACHE, key=lambda key: key[1:]) == [
+        (A3, i, k) for i in A3.nodes() for k in range(4)]
+
+
 def test_kr_a3_length_two_is_minuscule():
     poly = kr_qchar(A3, KRLabel(1, 2, 0))
     assert unique_dominant_monomial(poly) == Y((1, 0, 1), (1, 2, 1))

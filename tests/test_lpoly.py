@@ -2,14 +2,107 @@ import random
 
 import pytest
 
-from qloop.lpoly import LPoly, mono, mono_mul, mono_pow
+from qloop.lpoly import EXP_MAX, LPoly, mono, mono_mul, mono_pow
 
+# The three key shapes the package uses: plain names, (node, shift)
+# Y-variables and tagged cluster variables.  Keys of one monomial must be
+# comparable, so a polynomial draws its keys from one family; all
+# families share the process-wide slot table.
+KEY_FAMILIES = [
+    ["x", "y", "z", "w"],
+    [(1, 0), (2, 1), (1, 2), (3, 5), (2, -3)],
+    [("z", 1, 2), ("z", 2, 3), ("y", 1, 2), ("z", 4, 0)],
+]
+
+
+# --- naive tuple-monomial oracle --------------------------------------------
+
+def naive_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono(list(m1) + list(m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def rand_terms(rng, keys, nterms, lo=-3, hi=3) -> dict:
+    terms = {}
+    for _ in range(nterms):
+        m = mono((k, rng.randint(lo, hi))
+                 for k in rng.sample(keys, rng.randint(0, len(keys))))
+        terms[m] = terms.get(m, 0) + rng.randint(-4, 4)
+    return {m: c for m, c in terms.items() if c}
+
+
+def as_canonical(terms: dict) -> tuple:
+    return tuple(sorted(terms.items()))
+
+
+# --- tests ------------------------------------------------------------------
 
 def test_mono_canonicalization():
     assert mono([("b", 1), ("a", 2)]) == (("a", 2), ("b", 1))
     assert mono([("a", 1), ("a", -1)]) == ()
     assert mono_mul((("a", 1),), (("a", -1), ("b", 2))) == (("b", 2),)
     assert mono_pow((("a", 2),), 0) == ()
+
+
+def test_products_match_naive_oracle():
+    rng = random.Random(3)
+    for trial in range(150):
+        keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
+        a = rand_terms(rng, keys, rng.randint(0, 6))
+        b = rand_terms(rng, keys, rng.randint(0, 6))
+        prod = LPoly(a) * LPoly(b)
+        assert prod.canonical() == as_canonical(naive_mul(a, b))
+        assert prod.items() == list(as_canonical(naive_mul(a, b)))
+        assert 0 not in prod.terms.values()
+
+
+@pytest.mark.parametrize("span", [3, EXP_MAX // 2])
+def test_exact_divisions_match_naive_oracle(span):
+    rng = random.Random(5)
+    for trial in range(150):
+        keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
+        q = rand_terms(rng, keys, rng.randint(0, 6), -span, span)
+        g = rand_terms(rng, keys, rng.randint(1, 5), -span, span) or {(): 1}
+        f = naive_mul(q, g)
+        quotient = LPoly(f).exact_div(LPoly(g))
+        assert quotient.canonical() == as_canonical(q)
+
+
+def test_key_maps_match_naive_oracle():
+    rng = random.Random(9)
+    keys = KEY_FAMILIES[1]
+    for _ in range(60):
+        terms = rand_terms(rng, keys, rng.randint(0, 6))
+        p = LPoly(terms)
+        shifted = {mono(((i, s + 2), e) for (i, s), e in m): c
+                   for m, c in terms.items()}
+        assert p.map_keys(lambda k: (k[0], k[1] + 2)).canonical() == \
+            as_canonical(shifted)
+        kept = {}
+        for m, c in terms.items():
+            mm = tuple((k, e) for k, e in m if k[0] != 1)
+            kept[mm] = kept.get(mm, 0) + c
+        assert p.subs_one(lambda k: k[0] == 1).canonical() == \
+            as_canonical({m: c for m, c in kept.items() if c})
+        assert p.support_keys() == {k for m in terms for k, _ in m}
+        for key in keys + [(9, 9)]:
+            want = min((dict(m).get(key, 0) for m in terms), default=0)
+            assert p.min_exponent(key) == want
+
+
+def test_cancellation_to_zero():
+    x, y = LPoly.var("x"), LPoly.var("y")
+    assert (x + y) * (x - y) == x * x - y * y
+    assert (x + y) * (x - y) - x * x + y * y == 0
+    assert not ((x + y) * (x - y) - x * x + y * y).terms
+    assert (x - x) * y == LPoly.zero()
+    assert LPoly.zero().exact_div(x + y) == 0
+    unit = LPoly.var("x", 2) * LPoly.var("x", -2)
+    assert unit == 1 and unit.canonical() == (((), 1),)
 
 
 def test_ring_axioms_on_random_samples():
@@ -47,11 +140,30 @@ def test_exact_division_roundtrip():
         assert (f * g).exact_div(g) == f
 
 
+def test_random_divisions_terminate_and_are_sound():
+    rng = random.Random(13)
+    for trial in range(200):
+        keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
+        f = LPoly(rand_terms(rng, keys, rng.randint(1, 8)))
+        g = LPoly(rand_terms(rng, keys, rng.randint(2, 4)))
+        if len(g) < 2:
+            continue
+        try:
+            q = f.exact_div(g)
+        except ValueError:
+            continue
+        assert q * g == f
+
+
 def test_inexact_division_raises():
     x, y = LPoly.var("x"), LPoly.var("y")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"division \(monomial\)"):
         (x + y).exact_div(x + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"division \(monomial\)"):
+        x.exact_div(x * x + 1)
+    with pytest.raises(ValueError, match=r"division \(coefficient\)"):
+        (x * x + 1).exact_div(2 * x + 1)
+    with pytest.raises(ValueError, match="inexact coefficient division"):
         (2 * x + 1).exact_div(LPoly.const(2))
     with pytest.raises(ZeroDivisionError):
         x.exact_div(LPoly.zero())
@@ -64,6 +176,47 @@ def test_laurent_division_with_negative_exponents():
     g = x + 1
     # f = (x+1)(1 + x^{-1})
     assert f.exact_div(g) == LPoly.one() + xinv
+
+
+def test_laurent_quotient_outside_the_dividend_box():
+    # f has x-exponents in [0, 1]; the quotient x^2 y^-3 lies outside
+    x, y = LPoly.var("x"), LPoly.var("y")
+    f = 1 + x
+    g = LPoly.var("x", -2) * LPoly.var("y", 3) + LPoly.var("x", -1) * y ** 3
+    assert f.exact_div(g) == LPoly.var("x", 2) * LPoly.var("y", -3)
+    assert (x * y).exact_div(LPoly.var("y", -4)) == x * y ** 5
+
+
+def test_exponents_at_the_digit_bound():
+    top = LPoly.var("x", EXP_MAX)
+    assert top.canonical() == (((("x", EXP_MAX),), 1),)
+    assert LPoly.var("x", -EXP_MAX).min_exponent("x") == -EXP_MAX
+    assert LPoly.var("x", EXP_MAX - 1) * LPoly.var("x") == top
+    near = LPoly.var("x", EXP_MAX - 1)
+    assert (top + near).exact_div(LPoly.var("x") + 1) == near
+    assert top * LPoly.var("y") == LPoly.monomial((("x", EXP_MAX), ("y", 1)))
+    assert top * LPoly.var("x", -EXP_MAX) == 1
+    # a loose bound is tightened before an overflow is reported
+    one = (LPoly.var("y", 8000) + 1) - LPoly.var("y", 8000)
+    assert one * LPoly.var("y", 9000) == LPoly.var("y", 9000)
+
+
+def test_digit_overflow_raises():
+    top = LPoly.var("x", EXP_MAX)
+    with pytest.raises(OverflowError):
+        LPoly.var("x", EXP_MAX + 1)
+    with pytest.raises(OverflowError):
+        LPoly.monomial((("y", 2), ("z", -EXP_MAX - 1)))
+    with pytest.raises(OverflowError):
+        top * LPoly.var("x")
+    with pytest.raises(OverflowError):
+        top ** 2
+    with pytest.raises(OverflowError):
+        top.exact_div(LPoly.var("x", -1))
+    # (x^E + x^(E-1)) / (x^-2 + x^-1) = x^(E+1)
+    with pytest.raises(OverflowError):
+        (top + LPoly.var("x", EXP_MAX - 1)).exact_div(
+            LPoly.var("x", -2) + LPoly.var("x", -1))
 
 
 def test_min_exponent_and_subs():
