@@ -137,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = g_cluster.add_parser("enumerate", parents=[common])
     p.add_argument("--type", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
     p = g_cluster.add_parser("fpoly", parents=[common])
     p.add_argument("--type", required=True)
     p.add_argument("--level", type=int, default=1)
@@ -145,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = g_cluster.add_parser("classify", parents=[common])
     p.add_argument("--type", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
 
     g_verify = groups.add_parser("verify").add_subparsers(dest="command",
                                                           required=True)
@@ -224,7 +222,7 @@ def _run(args) -> int:
         c = _cartan(args.type)
         if args.command == "enumerate":
             graph = cluster.enumerate_exchange_graph(
-                cluster.gamma_seed(c, args.level), args.cap or cap)
+                cluster.gamma_seed(c, args.level), cap)
             return _emit_graph(c, graph, fmt)
         if args.command == "fpoly":
             if args.level != 1:
@@ -235,8 +233,7 @@ def _run(args) -> int:
                   if fmt == "json" else _vpoly_text(fpoly))
             return 0
         if args.command == "classify":
-            label = cluster.classify_finite_type(c, args.level,
-                                                 args.cap or cap)
+            label = cluster.classify_finite_type(c, args.level, cap)
             print(json.dumps({"type": label}) if fmt == "json" else label)
             return 0
     if args.group == "verify":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Dict, Optional, Tuple
 
@@ -39,9 +40,13 @@ class Seed:
     def b_dict(self) -> dict:
         return dict(self.b)
 
+    @cached_property
+    def _var_map(self) -> dict:
+        return dict(self.variables)
+
     def var(self, v) -> LPoly:
-        if v in dict(self.variables):
-            return dict(self.variables)[v]
+        if v in self._var_map:
+            return self._var_map[v]
         if v in self.frozen:
             return LPoly.var(ring_key(v))
         raise InvalidInputError(f"unknown vertex {v}")

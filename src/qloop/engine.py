@@ -387,9 +387,9 @@ def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> List[dict]:
     """Experimental level >= 2 bookkeeping for the seed-to-KR dictionary.
 
     Checks that each initial vertex's KR class has the announced highest
-    monomial (and is minuscule as computed), then reports the cluster
-    count or type within the cap.  No simple-module q-characters beyond
-    level 1 are claimed.
+    monomial (and is minuscule as computed), then that the cluster type
+    found within the cap is the expected one.  No simple-module
+    q-characters beyond level 1 are claimed.
     """
     if ell < 1:
         raise InvalidInputError("level must be >= 1")
@@ -413,10 +413,31 @@ def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> List[dict]:
                 "rhs": LPoly.const(poly.total_mult()),
             })
     label = cluster.classify_finite_type(c, ell, cap)
+    expected = expected_cluster_type(c, ell)
     report.append({
-        "case": f"cluster type fingerprint: {label}",
-        "pass": True,
+        "case": f"cluster type fingerprint: {label}" + (
+            "" if label == expected else f" (expected {expected})"),
+        "pass": label == expected,
         "lhs": LPoly.zero(),
         "rhs": LPoly.zero(),
     })
     return report
+
+
+_LEVEL_TYPES = {("A2", 2): "D4", ("A2", 3): "E6", ("A2", 4): "E8",
+                ("A3", 2): "E6", ("A4", 2): "E8"}
+
+
+def expected_cluster_type(c: CartanData, ell: int) -> str:
+    """Known cluster type of the level-ell algebra of c.
+
+    Level 1 gives the type itself and A1 at level ell gives A_ell; the
+    other finite cases are in _LEVEL_TYPES, and every other pair is of
+    infinite type (Hernandez-Leclerc 2010, section 13; Scott 2006 for the
+    Grassmannian cluster algebras Gr(k, n)).
+    """
+    if ell == 1:
+        return c.type_label
+    if c.type_label == "A1":
+        return f"A{ell}"
+    return _LEVEL_TYPES.get((c.type_label, ell), "infinite-or-large")

@@ -2,22 +2,25 @@
 
 Vertices are pairs (i, r) with r = xi_i (mod 2); arrows drop the degree
 by one along Dynkin edges, and the defining relations make the sum of
-all length-two loops (i, r) -> (i, r-2) vanish.  Indecomposable
-injectives are realized as duals of path spaces, and q-characters of
-fundamental and standard modules are obtained by counting submodule
-Grassmannians through the generic point-count engine.
+all length-two loops (i, r) -> (i, r-2) vanish.  A window module is a
+QuiverRep of the window's acyclic quiver that satisfies the relations.
+Indecomposable injectives are realized as duals of path spaces, and
+q-characters of fundamental and standard modules are obtained from
+Euler characteristics of their quiver Grassmannians.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from . import linalg
+from . import linalg, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError, WindowTooSmallError
-from .linalg import GF, QQ
-from .quiverrep import count_subrep_tuples, interpolate_at_one, _next_prime
+from .linalg import QQ
+from .quiverrep import Quiver, QuiverRep, rep_direct_sum
+# perfbench/tracer.py wraps these two names on this module
+from .quiverrep import count_subrep_tuples, interpolate_at_one  # noqa: F401
 from .ymono import YMonomial, YPolynomial, a_monomial_exps
 
 Vertex = Tuple[int, int]
@@ -38,8 +41,7 @@ class ZQWindow:
     c: CartanData
     r_lo: int
     r_hi: int
-    vertices: tuple
-    arrows: tuple
+    quiver: Quiver    # vertices by (degree, node), descending arrows
     relations: tuple  # vertices (i, r) with (i, r-2) inside the window
 
 
@@ -56,59 +58,38 @@ def build_window(c: CartanData, r_lo: int, r_hi: int) -> ZQWindow:
             if (j, r - 1) in vset:
                 arrows.append(((i, r), (j, r - 1)))
     relations = tuple((i, r) for (i, r) in vertices if (i, r - 2) in vset)
-    return ZQWindow(c, r_lo, r_hi, vertices, tuple(sorted(arrows)), relations)
+    return ZQWindow(c, r_lo, r_hi, Quiver(vertices, tuple(sorted(arrows))),
+                    relations)
 
 
-@dataclass
-class PreprojModule:
-    """Window representation satisfying all preprojective relations."""
-
-    window: ZQWindow
-    dims: dict
-    mats: dict
-    field: Optional[int] = None
-    relation_signature: dict = dc_field(default_factory=dict)
-
-    def dim_at(self, v: Vertex) -> int:
-        return self.dims.get(v, 0)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def support(self) -> list:
-        return sorted(v for v, d in self.dims.items() if d)
-
-    def check_relations(self) -> bool:
-        """Exact verification of every materialized relation."""
-        fld = QQ if self.field is None else GF(self.field)
-        for (i, r) in self.window.relations:
-            dsrc, dtgt = self.dim_at((i, r)), self.dim_at((i, r - 2))
-            if dsrc == 0 or dtgt == 0:
+def check_relations(window: ZQWindow, rep: QuiverRep) -> bool:
+    """Exact verification of every relation of the window on rep."""
+    for (i, r) in window.relations:
+        dsrc, dtgt = rep.dims.get((i, r), 0), rep.dims.get((i, r - 2), 0)
+        if dsrc == 0 or dtgt == 0:
+            continue
+        acc = linalg.zero_matrix(dtgt, dsrc)
+        for j in window.c.neighbors(i):
+            if rep.dims.get((j, r - 1), 0) == 0:
                 continue
-            acc = linalg.zero_matrix(dtgt, dsrc)
-            for j in self.window.c.neighbors(i):
-                if self.dim_at((j, r - 1)) == 0:
-                    continue
-                first = self.mats[((i, r), (j, r - 1))]
-                second = self.mats[((j, r - 1), (i, r - 2))]
-                step = linalg.mat_mul(second, first, fld)
-                acc = [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(acc, step)]
-            if self.field is not None:
-                acc = [[x % self.field for x in row] for row in acc]
-            if any(any(x != 0 for x in row) for row in acc):
-                return False
-        return True
+            first = rep.mats[((i, r), (j, r - 1))]
+            second = rep.mats[((j, r - 1), (i, r - 2))]
+            step = linalg.mat_mul(second, first, QQ)
+            acc = [[a + b for a, b in zip(ra, rb)]
+                   for ra, rb in zip(acc, step)]
+        if any(any(x != 0 for x in row) for row in acc):
+            return False
+    return True
 
 
 def _paths_down(window: ZQWindow, target: Vertex) -> Dict[Vertex, list]:
     """All descending paths from each vertex to target, as arrow tuples."""
     out_arrows: Dict[Vertex, list] = {}
-    for a in window.arrows:
+    for a in window.quiver.arrows:
         out_arrows.setdefault(a[0], []).append(a)
     paths = {target: [()]}
     for r in range(target[1] + 1, window.r_hi + 1):
-        for v in window.vertices:
+        for v in window.quiver.vertices:
             if v[1] != r:
                 continue
             found = []
@@ -120,37 +101,38 @@ def _paths_down(window: ZQWindow, target: Vertex) -> Dict[Vertex, list]:
     return paths
 
 
-def _quotient_data(vectors, dim, fld):
-    """Quotient of F^dim by the span: returns (reducer, basis indices)."""
+def _quotient_data(vectors, dim):
+    """Quotient of Q^dim by the span: returns (reducer, basis indices)."""
     if not vectors:
         return [], list(range(dim))
-    red, pivots = linalg.rref(vectors, fld)
+    red, pivots = linalg.rref(vectors, QQ)
     free = [i for i in range(dim) if i not in pivots]
     return (red, pivots), free
 
 
-def _reduce_vector(vec, quot, free, fld):
-    red_piv = quot
-    if red_piv:
-        red, pivots = red_piv
-        vec = list(vec)
+def _reduce_vector(vec, quot, free):
+    if quot:
+        red, pivots = quot
         for row, pc in zip(red, pivots):
             f = vec[pc]
             if f:
                 vec = [a - f * b for a, b in zip(vec, row)]
-                if isinstance(fld, GF):
-                    vec = [x % fld.p for x in vec]
     return [vec[i] for i in free]
 
 
-def injective_module(window: ZQWindow, i: int, r: int,
-                     prime: Optional[int] = None) -> PreprojModule:
+def _integral(x) -> int:
+    if x.denominator != 1:
+        raise ConsistencyError("injective has a non-integral arrow matrix")
+    return x.numerator
+
+
+def injective_module(window: ZQWindow, i: int, r: int) -> QuiverRep:
     """Injective hull of the simple at (i, r), as dual path spaces.
 
     The basis at each vertex consists of residues of descending paths
     into (i, r) modulo the relation ideal; arrow action is the transpose
-    of path composition.  Raises when the support touches the top of the
-    window (rebuild with a larger window).
+    of path composition, with integer matrices.  Raises when the support
+    touches the top of the window (rebuild with a larger window).
     """
     c = window.c
     if not in_i0hat(c, i, r):
@@ -158,56 +140,53 @@ def injective_module(window: ZQWindow, i: int, r: int,
                                 "repetition quiver")
     if not (window.r_lo <= r <= window.r_hi):
         raise WindowTooSmallError("target vertex outside the window")
-    fld = QQ if prime is None else GF(prime)
     target = (i, r)
     paths = _paths_down(window, target)
     pid = {v: {p: k for k, p in enumerate(sorted(ps))}
            for v, ps in paths.items()}
 
-    relation_signature = {}
     quots = {}
     dims = {}
-    for v in window.vertices:
+    for v in window.quiver.vertices:
         plist = sorted(paths.get(v, []))
         if not plist:
             dims[v] = 0
             continue
         rel_vectors = _relation_vectors(window, v, target, paths, pid[v])
-        quot, free = _quotient_data(rel_vectors, len(plist), fld)
+        quot, free = _quotient_data(rel_vectors, len(plist))
         quots[v] = (quot, free, plist)
         dims[v] = len(free)
-        relation_signature[v] = tuple(quot[1]) if quot else ()
 
     _assert_inside(window, dims, target)
 
     mats = {}
-    for a in window.arrows:
+    for a in window.quiver.arrows:
         src, tgt = a
         dsrc, dtgt = dims.get(src, 0), dims.get(tgt, 0)
         if dsrc == 0 or dtgt == 0:
-            mats[a] = [[fld.zero] * dsrc for _ in range(dtgt)]
+            mats[a] = [[0] * dsrc for _ in range(dtgt)]
             continue
         quot_s, free_s, plist_s = quots[src]
         _, free_t, plist_t = quots[tgt]
         # composition map on path spaces, then transpose for the dual
         comp = []
         for p in (plist_t[k] for k in free_t):
-            vec = [fld.zero] * len(plist_s)
-            vec[pid[src][(a,) + p]] = fld.one
-            comp.append(_reduce_vector(vec, quot_s, free_s, fld))
+            vec = [QQ.zero] * len(plist_s)
+            vec[pid[src][(a,) + p]] = QQ.one
+            comp.append([_integral(x)
+                         for x in _reduce_vector(vec, quot_s, free_s)])
         # comp rows: images of target-side basis paths inside Q_src
         mats[a] = comp
-    mod = PreprojModule(window, dims, mats, prime)
-    mod.relation_signature = relation_signature
-    if not mod.check_relations():
+    rep = QuiverRep(window.quiver, dims, mats)
+    if not check_relations(window, rep):
         raise ConsistencyError("injective construction violates a relation")
-    return mod
+    return rep
 
 
 def _relation_vectors(window, v, target, paths, index):
     """Span of p . sigma_(u,t) . q inside the path space of v -> target."""
     c = window.c
-    vset = set(window.vertices)
+    vset = set(window.quiver.vertices)
     vectors = []
     # every route v -> midpoint is a prefix of some full path into target
     prefixes = {}
@@ -244,36 +223,7 @@ def _assert_inside(window, dims, target):
             f"{window.r_hi}")
 
 
-def module_direct_sum(mods: List[PreprojModule]) -> PreprojModule:
-    if not mods:
-        raise InvalidInputError("empty direct sum")
-    window, fld = mods[0].window, mods[0].field
-    if any(m.window != window or m.field != fld for m in mods):
-        raise InvalidInputError("summands live on different windows")
-    dims = {v: sum(m.dim_at(v) for m in mods) for v in window.vertices}
-    mats = {}
-    for a in window.arrows:
-        src, tgt = a
-        rows = []
-        col_off = 0
-        for m in mods:
-            blk = m.mats.get(a, [])
-            for rr in range(m.dim_at(tgt)):
-                row = [0] * dims[src]
-                brow = blk[rr] if blk else []
-                for cc in range(m.dim_at(src)):
-                    row[col_off + cc] = brow[cc]
-                rows.append(row)
-            col_off += m.dim_at(src)
-        mats[a] = rows
-    return PreprojModule(window, dims, mats, fld)
-
-
 # --- q-characters -----------------------------------------------------------
-
-def _window_for(c: CartanData, r_lo: int, r_hi_anchor: int) -> ZQWindow:
-    return build_window(c, r_lo, r_hi_anchor + c.coxeter_number())
-
 
 _FUND_CACHE: dict = {}
 
@@ -281,8 +231,8 @@ _FUND_CACHE: dict = {}
 def fundamental_qchar(c: CartanData, i: int, r: int) -> YPolynomial:
     """q-character of the fundamental module with highest weight Y[i,r].
 
-    Computed once at the base shift xi_i via submodule Grassmannians of
-    the injective at (i, xi_i), then translated to r.
+    Computed once at the base shift xi_i, as the standard module of the
+    injective at (i, xi_i), then translated to r.
     """
     c.check_node(i)
     if (r - c.xi[i - 1]) % 2 != 0:
@@ -291,14 +241,8 @@ def fundamental_qchar(c: CartanData, i: int, r: int) -> YPolynomial:
     base = c.xi[i - 1]
     key = (c, i)
     if key not in _FUND_CACHE:
-        _FUND_CACHE[key] = _fundamental_at(c, i, base)
+        _FUND_CACHE[key] = standard_qchar(c, {(i, base): 1})
     return _FUND_CACHE[key].shift(r - base)
-
-
-def _fundamental_at(c: CartanData, i: int, r: int) -> YPolynomial:
-    window = _window_for(c, r, r)
-    models = _InjectiveModels(window, [(i, r)])
-    return _grassmannian_qchar(models, YMonomial.y(i, r))
 
 
 def standard_qchar(c: CartanData, W) -> YPolynomial:
@@ -319,95 +263,34 @@ def standard_qchar(c: CartanData, W) -> YPolynomial:
     r_lo = min(r for (_, r) in W)
     r_hi_anchor = max(r for (_, r) in W)
     window = build_window(c, r_lo, r_hi_anchor + c.coxeter_number())
-    slots = []
+    parts = []
     for (i, r), mult in sorted(W.items()):
-        slots.extend([(i, r)] * mult)
-    models = _InjectiveModels(window, slots)
+        parts.extend([injective_module(window, i, r)] * mult)
     top = YMonomial([((i, r), mult) for (i, r), mult in W.items()])
-    return _grassmannian_qchar(models, top)
+    return _grassmannian_qchar(window, rep_direct_sum(parts), top)
 
 
-class _InjectiveModels:
-    """Rational and modular models of one direct sum of injectives."""
-
-    def __init__(self, window: ZQWindow, slots: List[Vertex]):
-        self.window = window
-        self.slots = slots
-        self.rational, self.signatures = self._build(None)
-        self._modular: dict = {}
-        self._bad: set = set()
-
-    def _build(self, prime):
-        parts = [injective_module(self.window, i, r, prime)
-                 for (i, r) in self.slots]
-        sigs = tuple(p.relation_signature for p in parts)
-        mod = module_direct_sum(parts) if len(parts) > 1 else parts[0]
-        return mod, sigs
-
-    def modular(self, p: int) -> Optional[PreprojModule]:
-        """Model over F_p, or None when p is a bad prime for reduction.
-
-        A prime is good when the path-space pivots, the dimensions, and
-        every arrow-matrix rank agree with the rational model, so the
-        modular module is the genuine reduction.
-        """
-        if p in self._bad:
-            return None
-        if p not in self._modular:
-            mod, sigs = self._build(p)
-            ok = mod.dims == self.rational.dims and sigs == self.signatures
-            if ok:
-                fld = GF(p)
-                for a, m in self.rational.mats.items():
-                    if m and linalg.rank(m, QQ) != linalg.rank(
-                            mod.mats[a], fld):
-                        ok = False
-                        break
-            if not ok:
-                self._bad.add(p)
-                return None
-            self._modular[p] = mod
-        return self._modular.get(p)
-
-    def euler(self, nu: dict) -> int:
-        """Euler characteristic of the submodule Grassmannian at nu."""
-        bound = sum(n * (self.rational.dim_at(v) - n) for v, n in nu.items())
-        order = sorted(self.rational.support(), key=lambda v: (v[1], v[0]))
-        arrows = [a for a in self.window.arrows
-                  if self.rational.dim_at(a[0]) and self.rational.dim_at(a[1])]
-        points = []
-        p = 2
-        while len(points) < bound + 2:
-            mod = self.modular(p)
-            if mod is not None:
-                cnt = count_subrep_tuples(order, arrows, mod.dims, mod.mats,
-                                          nu, p)
-                points.append((p, cnt))
-            p = _next_prime(p)
-        return interpolate_at_one(points, bound)
-
-
-def _grassmannian_qchar(models: _InjectiveModels, top: YMonomial) -> YPolynomial:
-    c = models.window.c
-    delta = models.rational
-    support = sorted(delta.support(), key=lambda v: (v[1], v[0]))
+def _grassmannian_qchar(window: ZQWindow, delta: QuiverRep,
+                        top: YMonomial) -> YPolynomial:
+    c = window.c
+    support = [v for v in window.quiver.vertices if delta.dims.get(v, 0)]
     index = {v: i for i, v in enumerate(support)}
+    ranks = quiverrep.arrow_ranks(delta)
     # submodule dimensions obey nu_v <= nu_w + dim ker(arrow v -> w);
     # enumerate bottom-up so every target is fixed before its source
     kernel_bound = {}
-    for a in models.window.arrows:
+    for a in window.quiver.arrows:
         src, tgt = a
-        if delta.dim_at(src) and tgt in index:
-            m = delta.mats[a]
+        if src in index and tgt in index:
             kernel_bound.setdefault(src, []).append(
-                (index[tgt], delta.dim_at(src) - linalg.rank(m, QQ)))
+                (index[tgt], delta.dims[src] - ranks[a]))
     terms = []
     combo = [0] * len(support)
 
     def walk(idx):
         if idx == len(support):
             nu = {v: n for v, n in zip(support, combo) if n}
-            chi = models.euler(nu)
+            chi = quiverrep.grassmannian_euler(delta, nu)
             if chi:
                 mono = top
                 for (j, s), n in nu.items():
@@ -415,7 +298,7 @@ def _grassmannian_qchar(models: _InjectiveModels, top: YMonomial) -> YPolynomial
                 terms.append((mono, chi))
             return
         v = support[idx]
-        cap = delta.dim_at(v)
+        cap = delta.dims[v]
         for bound_idx, corank in kernel_bound.get(v, ()):
             cap = min(cap, combo[bound_idx] + corank)
         for n in range(cap + 1):

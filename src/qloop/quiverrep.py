@@ -9,7 +9,7 @@ polynomial interpolation of those counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -37,17 +37,18 @@ class Quiver:
                 arrows.append((v, u))
         return cls(tuple(c.nodes()), tuple(sorted(arrows)))
 
-    def arrows_from(self, v) -> tuple:
-        return tuple(a for a in self.arrows if a[0] == v)
-
     def topological_targets_first(self) -> list:
-        """Vertex order in which every arrow target precedes its source."""
+        """Vertex order in which every arrow target precedes its source.
+
+        Ties go to the vertex listed first in `vertices`.
+        """
+        pos = {v: k for k, v in enumerate(self.vertices)}.__getitem__
         out_deg = {v: 0 for v in self.vertices}
         preds = {v: [] for v in self.vertices}
         for (s, t) in self.arrows:
             out_deg[s] += 1
             preds[t].append(s)
-        ready = sorted(v for v in self.vertices if out_deg[v] == 0)
+        ready = [v for v in self.vertices if out_deg[v] == 0]
         order = []
         while ready:
             v = ready.pop(0)
@@ -57,7 +58,7 @@ class Quiver:
                 out_deg[s] -= 1
                 if out_deg[s] == 0:
                     added.append(s)
-            ready = sorted(ready + added)
+            ready = sorted(ready + added, key=pos)
         if len(order) != len(self.vertices):
             raise InvalidInputError("quiver has an oriented cycle")
         return order
@@ -68,13 +69,17 @@ class QuiverRep:
     """Representation: per-vertex dimension, per-arrow matrix.
 
     field is None for Q (integer matrices expected) or a prime p.
-    Matrices have shape (dim target) x (dim source).
+    Matrices have shape (dim target) x (dim source).  The counting data
+    derived from them (walk order, ranks, reductions mod p) is memoized
+    in _memo, so a representation must not be changed once counted.
     """
 
     quiver: Quiver
     dims: dict
     mats: dict
     field: Optional[int] = None
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         for (s, t) in self.quiver.arrows:
@@ -387,10 +392,9 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
     """Number of subspace tuples of the given dimensions closed under mats.
 
     vertices_order must list arrow targets before their sources; mats are
-    integer matrices taken mod p.
+    integer matrices, read mod p.
     """
     field = GF(p)
-    red_mats = {a: [[x % p for x in row] for row in m] for a, m in mats.items()}
     out_arrows = {v: [] for v in vertices_order}
     for (s, t) in arrows:
         out_arrows[s].append((s, t))
@@ -407,7 +411,7 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
             target_sub = chosen[a[1]]
             allowed = linalg.intersect(
                 allowed,
-                linalg.preimage(red_mats[a], target_sub, dv, field),
+                linalg.preimage(mats[a], target_sub, dv, field),
                 dv, field)
             if len(allowed) < nv:
                 return 0
@@ -421,18 +425,47 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
     return walk(0, {})
 
 
+def _memoized(M: QuiverRep, key, make):
+    if key not in M._memo:
+        M._memo[key] = make()
+    return M._memo[key]
+
+
+def _support_walk(M: QuiverRep):
+    """Support vertices, targets first, and the arrows between them."""
+    def make():
+        support = tuple(v for v in M.quiver.vertices if M.dims.get(v, 0))
+        inside = set(support)
+        arrows = tuple(a for a in M.quiver.arrows
+                       if a[0] in inside and a[1] in inside)
+        return Quiver(support, arrows).topological_targets_first(), arrows
+    return _memoized(M, "walk", make)
+
+
+def arrow_ranks(M: QuiverRep) -> dict:
+    """Rank of every nonempty arrow matrix, over M's field."""
+    field = QQ if M.field is None else GF(M.field)
+    return _memoized(M, "ranks", lambda: {
+        a: linalg.rank(m, field) for a, m in M.mats.items() if m})
+
+
+def _reduction(M: QuiverRep, p: int) -> QuiverRep:
+    if M.field == p:
+        return M
+    return _memoized(M, ("mod", p), lambda: M.reduce_mod(p))
+
+
 def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
     """Point count of the subrepresentation Grassmannian over F_p."""
     nu = _nu_dict(M, nu)
     for v in M.quiver.vertices:
         if nu.get(v, 0) > M.dims.get(v, 0):
             raise InvalidInputError("nu exceeds the dimension vector")
-    rep = M if M.field == p else (M.reduce_mod(p) if M.field is None else None)
-    if rep is None:
+    if M.field not in (None, p):
         raise InvalidInputError("representation is over a different prime")
-    order = M.quiver.topological_targets_first()
-    return count_subrep_tuples(order, M.quiver.arrows, rep.dims, rep.mats,
-                               nu, p)
+    rep = _reduction(M, p)
+    order, arrows = _support_walk(M)
+    return count_subrep_tuples(order, arrows, rep.dims, rep.mats, nu, p)
 
 
 def _nu_dict(M: QuiverRep, nu) -> dict:
@@ -442,17 +475,17 @@ def _nu_dict(M: QuiverRep, nu) -> dict:
 
 
 def _first_good_primes(M: QuiverRep, count: int) -> List[int]:
-    """First primes at which every arrow matrix keeps its rational rank."""
-    q_ranks = {a: linalg.rank([[Fraction(x) for x in row] for row in m], QQ)
-               if m else 0
-               for a, m in M.mats.items()}
+    """First primes at which every arrow matrix keeps its rational rank.
+
+    At such a prime the reduction of the integer model is a genuine
+    model of M over F_p; every Euler characteristic uses this policy.
+    """
+    q_ranks = arrow_ranks(M)
     primes = []
     p = 2
     while len(primes) < count:
-        field = GF(p)
-        ok = all(linalg.rank(m, field) == q_ranks[a] if m else True
-                 for a, m in M.mats.items())
-        if ok:
+        if _memoized(M, ("good", p), lambda: arrow_ranks(
+                _reduction(M, p)) == q_ranks):
             primes.append(p)
         p = _next_prime(p)
     return primes
@@ -564,19 +597,14 @@ def rep_direct_sum(reps: List[QuiverRep]) -> QuiverRep:
     dims = {v: sum(r.dims.get(v, 0) for r in reps) for v in quiver.vertices}
     mats = {}
     for a in quiver.arrows:
-        s, t = a
+        s = a[0]
         rows = []
         col_off = 0
-        total_cols = dims[s]
-        row_blocks = []
         for r in reps:
-            blk = r.mats[a]
-            for rr in range(r.dims.get(t, 0)):
-                row = [0] * total_cols
-                for cc in range(r.dims.get(s, 0)):
-                    row[col_off + cc] = blk[rr][cc]
-                row_blocks.append(row)
-            col_off += r.dims.get(s, 0)
-        rows = row_blocks
+            width = r.dims.get(s, 0)
+            for brow in r.mats[a]:
+                rows.append([0] * col_off + list(brow)
+                            + [0] * (dims[s] - col_off - width))
+            col_off += width
         mats[a] = rows
     return QuiverRep(quiver, dims, mats, field)

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import golden_data
+from qloop import cluster
 from qloop.cli import main
 from qloop.ymono import poly_from_json
 
@@ -110,8 +115,28 @@ def test_verify_commands(capsys):
 
 def test_cap_exceeded_is_reported(capsys):
     code, _, err = run(capsys, "cluster", "enumerate", "--type", "A3",
-                       "--level", "1", "--cap", "3")
+                       "--level", "1", "--seed-cap", "3")
     assert code == 1 and "cap" in err
+
+
+def test_iota_fingerprint_fails_on_a_wrong_type(capsys, monkeypatch):
+    monkeypatch.setattr(cluster, "classify_finite_type", lambda *a: "A5")
+    code, out, _ = run(capsys, "verify", "iota", "--type", "A2",
+                       "--level", "2", "--format", "json")
+    assert code == 1
+    entry = json.loads(out)[-1]
+    assert entry["case"].startswith("cluster type fingerprint: A5")
+    assert entry["pass"] is False
+
+
+def test_benchmark_tracer_binds_every_layer():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", "sl2", "kr", "--k", "1",
+         "--s", "0"], cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1].startswith("perfbench-trace ")
 
 
 def test_console_script_runs_in_a_subprocess():

@@ -236,3 +236,24 @@ def test_zero_module_has_one_empty_subrep():
     zero = QuiverRep(Quiver.sink_source(A2), {1: 0, 2: 0}, {})
     assert grassmannian_count_fq(zero, (0, 0), 3) == 1
     assert grassmannian_euler(zero, (0, 0)) == 1
+
+
+def test_topological_order_breaks_ties_by_position():
+    q = Quiver(("b", "a", "c"), (("c", "a"),))
+    assert q.topological_targets_first() == ["b", "a", "c"]
+
+
+def test_euler_reduces_each_prime_once(monkeypatch):
+    calls = []
+    reduce_mod = QuiverRep.reduce_mod
+
+    def counted(self, p):
+        calls.append(p)
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(QuiverRep, "reduce_mod", counted)
+    m = QuiverRep(Quiver((1, 2), ((1, 2),)), {1: 2, 2: 1}, {(1, 2): [[1, 1]]})
+    first = [grassmannian_euler(m, nu) for nu in ((1, 0), (1, 1), (2, 1))]
+    second = [grassmannian_euler(m, nu) for nu in ((1, 0), (1, 1), (2, 1))]
+    assert first == second == [1, 2, 1]
+    assert len(calls) == len(set(calls))
