@@ -131,10 +131,10 @@ def test_iota_fingerprint_fails_on_a_wrong_type(capsys, monkeypatch):
 
 def test_benchmark_tracer_binds_every_layer():
     root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run(
         [sys.executable, "perfbench/tracer.py", "sl2", "kr", "--k", "1",
-         "--s", "0"], cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True)
+         "--s", "0"], cwd=root, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1].startswith("perfbench-trace ")
 
