@@ -110,23 +110,19 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
         elif e < 0:
             neg = neg * seed.var(v) ** (-e)
     new_var = (pos + neg).exact_div(seed.var(k))
-    newb: Dict[Tuple[Vertex, Vertex], int] = {}
-    mset = set(seed.mutable)
-    everything = seed.mutable + seed.frozen
-    for iv, v in enumerate(everything):
-        for w in everything[iv + 1:]:
-            if v not in mset and w not in mset:
-                continue
-            if v == k or w == k:
-                val = -b.get((v, w), 0)
-            else:
-                bvk, bkw = b.get((v, k), 0), b.get((k, w), 0)
-                val = (b.get((v, w), 0)
-                       + max(bvk, 0) * max(bkw, 0)
-                       - max(-bvk, 0) * max(-bkw, 0))
-            if val:
-                newb[(v, w)] = val
-                newb[(w, v)] = -val
+    # entries at k flip sign; b_vw gains |b_vk| b_kw when b_vk and b_kw
+    # share a sign, that is when b_vk b_wk < 0 (b is skew-symmetric)
+    newb = {vw: -e if k in vw else e for vw, e in b.items()}
+    around = [(v, e) for (v, w), e in b.items() if w == k]
+    frozen = set(seed.frozen)
+    for v, bvk in around:
+        for w, bwk in around:
+            if bvk * bwk < 0 and (v not in frozen or w not in frozen):
+                val = newb.get((v, w), 0) - abs(bvk) * bwk
+                if val:
+                    newb[(v, w)] = val
+                else:
+                    del newb[(v, w)]
     variables = tuple((v, new_var if v == k else p)
                       for v, p in seed.variables)
     return Seed(seed.mutable, seed.frozen,

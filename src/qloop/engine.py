@@ -10,7 +10,6 @@ modules into prime factors by exact cover over cluster data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import List, Optional
 
 from . import cluster, preproj, quiverrep
@@ -119,14 +118,12 @@ def v_variable(c: CartanData, i: int) -> YMonomial:
 
 def gr_series(c: CartanData, rep: quiverrep.QuiverRep) -> LPoly:
     """Generating series of Euler characteristics over subrep dimensions."""
-    dims = rep.dim_vector()
-    series = LPoly.zero()
-    for combo in iproduct(*[range(d + 1) for d in dims]):
-        chi = quiverrep.grassmannian_euler(rep, combo)
+    terms = []
+    for nu in quiverrep.subrep_dimension_vectors(rep):
+        chi = quiverrep.grassmannian_euler(rep, nu)
         if chi:
-            m = [(i, e) for i, e in zip(rep.quiver.vertices, combo) if e]
-            series = series + LPoly.monomial(tuple(sorted(m)), chi)
-    return series
+            terms.append((tuple(sorted(nu.items())), chi))
+    return LPoly(terms)
 
 
 def _series_to_qchar(c: CartanData, top: YMonomial, series: LPoly) -> YPolynomial:

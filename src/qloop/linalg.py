@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Q (Fraction) and prime fields.
 
 Matrices are lists of row lists acting on column vectors.  Subspaces of
-F_p^n are represented by row-reduced basis matrices, which doubles as a
-canonical form for dictionary keys.
+F_p^n are represented by basis matrices, one basis vector per row; a
+basis is not canonical unless it comes from `span_canonical`.  Over F_p
+every entry is a plain int reduced with `% p`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 
 class QQ:
@@ -28,18 +30,12 @@ class QQ:
 
 
 class GF:
-    """Prime field F_p with plain int arithmetic mod p."""
+    """Prime field F_p: plain ints, reduced with % p."""
 
     def __init__(self, p: int):
         self.p = p
         self.zero = 0
         self.one = 1
-
-    def of(self, x):
-        return x % self.p
-
-    def inv(self, x):
-        return pow(x, self.p - 2, self.p)
 
 
 def _normalize(field, x):
@@ -48,7 +44,9 @@ def _normalize(field, x):
 
 def rref(rows, field):
     """Row-reduce a copy of rows; returns (reduced rows, pivot columns)."""
-    mat = [[_normalize(field, field.of(x)) for x in row] for row in rows]
+    if isinstance(field, GF):
+        return _rref_mod(rows, field.p)
+    mat = [[field.of(x) for x in row] for row in rows]
     pivots = []
     r = 0
     ncols = len(mat[0]) if mat else 0
@@ -58,17 +56,42 @@ def rref(rows, field):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = field.inv(mat[r][c])
-        mat[r] = [_normalize(field, v * inv) for v in mat[r]]
+        mat[r] = [v * inv for v in mat[r]]
         for k in range(len(mat)):
             if k != r and mat[k][c]:
                 f = mat[k][c]
-                mat[k] = [_normalize(field, a - f * b)
-                          for a, b in zip(mat[k], mat[r])]
+                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     return [row for row in mat[:r]], pivots
+
+
+def _rref_mod(rows, p):
+    """rref over F_p, on plain ints reduced with % p."""
+    mat = [[x % p for x in row] for row in rows]
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((k for k in range(r, nrows) if mat[k][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        row = mat[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = mat[r] = [v * inv % p for v in row]
+        for k in range(nrows):
+            f = mat[k][c]
+            if f and k != r:
+                mat[k] = [(a - f * b) % p for a, b in zip(mat[k], row)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots
 
 
 def rank(rows, field) -> int:
@@ -92,10 +115,11 @@ def nullspace(rows, ncols, field):
 def mat_mul(A, B, field):
     if not A or not B:
         return []
-    n, m, k = len(A), len(B), len(B[0])
-    return [[_normalize(field,
-                        sum(A[i][t] * B[t][j] for t in range(m)))
-             for j in range(k)] for i in range(n)]
+    cols = list(zip(*B))
+    if isinstance(field, GF):
+        p = field.p
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def mat_vec(A, v, field):
@@ -146,25 +170,6 @@ def annihilator(basis, ncols, field):
     return nullspace(basis, ncols, field)
 
 
-def preimage(A, sub_basis, src_dim, field):
-    """Basis of {x : A x in span(sub_basis)} for A with src_dim columns."""
-    if not A:
-        # zero-dimensional target: everything maps into the subspace
-        return identity(src_dim)
-    ann = annihilator(sub_basis, len(A), field)
-    if not ann:
-        return identity(src_dim)
-    constraint = mat_mul(ann, A, field)
-    return nullspace(constraint, src_dim, field)
-
-
-def intersect(basis1, basis2, ncols, field):
-    stacked = annihilator(basis1, ncols, field) + annihilator(basis2, ncols, field)
-    if not stacked:
-        return identity(ncols)
-    return nullspace(stacked, ncols, field)
-
-
 def _rref_patterns(r, k, p):
     """All k x r matrices over F_p in reduced row echelon form."""
     for pivots in combinations(range(r), k):
@@ -180,7 +185,12 @@ def _rref_patterns(r, k, p):
 
 
 def subspaces_of(basis, k, ncols, field):
-    """All k-dimensional subspaces of span(basis), canonical bases."""
+    """All k-dimensional subspaces of span(basis), each given by a basis.
+
+    The rows of basis must be independent.  Each subspace comes once, as
+    pattern . basis for one k x len(basis) reduced echelon pattern; these
+    bases are not canonical (see `span_canonical`).
+    """
     r = len(basis)
     if k == 0:
         yield []
@@ -188,6 +198,16 @@ def subspaces_of(basis, k, ncols, field):
     if k > r:
         return
     for pat in _rref_patterns(r, k, field.p):
-        rows = mat_mul(pat, basis, field)
-        yield span_canonical(rows, ncols, field)
+        yield mat_mul(pat, basis, field)
+
+
+def gaussian_binomial(n, k, q):
+    """[n, k]_q: the number of k-dimensional subspaces of F_q^n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 

@@ -272,41 +272,14 @@ def standard_qchar(c: CartanData, W) -> YPolynomial:
 
 def _grassmannian_qchar(window: ZQWindow, delta: QuiverRep,
                         top: YMonomial) -> YPolynomial:
-    c = window.c
-    support = [v for v in window.quiver.vertices if delta.dims.get(v, 0)]
-    index = {v: i for i, v in enumerate(support)}
-    ranks = quiverrep.arrow_ranks(delta)
-    # submodule dimensions obey nu_v <= nu_w + dim ker(arrow v -> w);
-    # enumerate bottom-up so every target is fixed before its source
-    kernel_bound = {}
-    for a in window.quiver.arrows:
-        src, tgt = a
-        if src in index and tgt in index:
-            kernel_bound.setdefault(src, []).append(
-                (index[tgt], delta.dims[src] - ranks[a]))
     terms = []
-    combo = [0] * len(support)
-
-    def walk(idx):
-        if idx == len(support):
-            nu = {v: n for v, n in zip(support, combo) if n}
-            chi = quiverrep.grassmannian_euler(delta, nu)
-            if chi:
-                mono = top
-                for (j, s), n in nu.items():
-                    mono = mono * (a_monomial_exps(c, j, s + 1) ** (-n))
-                terms.append((mono, chi))
-            return
-        v = support[idx]
-        cap = delta.dims[v]
-        for bound_idx, corank in kernel_bound.get(v, ()):
-            cap = min(cap, combo[bound_idx] + corank)
-        for n in range(cap + 1):
-            combo[idx] = n
-            walk(idx + 1)
-        combo[idx] = 0
-
-    walk(0)
+    for nu in quiverrep.subrep_dimension_vectors(delta):
+        chi = quiverrep.grassmannian_euler(delta, nu)
+        if chi:
+            mono = top
+            for (j, s), n in nu.items():
+                mono = mono * (a_monomial_exps(window.c, j, s + 1) ** (-n))
+            terms.append((mono, chi))
     return YPolynomial(terms)
 
 

@@ -392,37 +392,79 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
     """Number of subspace tuples of the given dimensions closed under mats.
 
     vertices_order must list arrow targets before their sources; mats are
-    integer matrices, read mod p.
+    integer matrices, read mod p.  One side is counted in closed form:
+    the sources or the sinks, whichever has the larger sum of
+    nu_v (d_v - nu_v), ties going to the sources.  Neither side has an
+    arrow inside it, so the subspaces at the other vertices, walked
+    targets first, fix everything a closed vertex b sees: W_b, the span
+    of the images of the arrows into b, and P_b, the common preimage of
+    the subspaces at the targets of the arrows out of b.  A source has
+    W_b = 0 and a sink has P_b = M_b, so W_b lies in P_b, and the U_b
+    between them number [dim P_b - dim W_b, nu_b - dim W_b]_p, which is
+    0 when nu_b lies outside [dim W_b, dim P_b].
     """
     field = GF(p)
-    out_arrows = {v: [] for v in vertices_order}
-    for (s, t) in arrows:
-        out_arrows[s].append((s, t))
+    if any(nu.get(v, 0) > dims.get(v, 0) for v in vertices_order):
+        return 0
+    heads = {t for (_, t) in arrows}
+    tails = {s for (s, _) in arrows}
+    sources = [v for v in vertices_order if v not in heads]
+    sinks = [v for v in vertices_order if v not in tails]
 
-    def walk(idx, chosen):
-        if idx == len(vertices_order):
-            return 1
-        v = vertices_order[idx]
-        dv, nv = dims.get(v, 0), nu.get(v, 0)
-        if nv > dv:
-            return 0
-        allowed = linalg.identity(dv)
-        for a in out_arrows[v]:
-            target_sub = chosen[a[1]]
-            allowed = linalg.intersect(
-                allowed,
-                linalg.preimage(mats[a], target_sub, dv, field),
-                dv, field)
-            if len(allowed) < nv:
+    def degree(side):
+        return sum(nu.get(v, 0) * (dims.get(v, 0) - nu.get(v, 0))
+                   for v in side)
+
+    closed = sources if degree(sources) >= degree(sinks) else sinks
+    shut = set(closed)
+    walked = [v for v in vertices_order if v not in shut]
+    # arrows into closed vertices are read at the leaves only
+    out_arrows = {v: [] for v in vertices_order}
+    in_arrows = {v: [] for v in closed}
+    for (s, t) in arrows:
+        if t in shut:
+            in_arrows[t].append((s, linalg.transpose(mats[(s, t)])))
+        else:
+            out_arrows[s].append((t, mats[(s, t)]))
+
+    def constraint(v, anns):
+        return [row for t, m in out_arrows[v]
+                for row in linalg.mat_mul(anns[t], m, field)]
+
+    def closed_count(chosen, anns):
+        total = 1
+        for b in closed:
+            images = [row for s, mt in in_arrows[b]
+                      for row in linalg.mat_mul(chosen[s], mt, field)]
+            forms = constraint(b, anns)
+            low = linalg.rank(images, field) if images else 0
+            high = dims.get(b, 0) - (linalg.rank(forms, field) if forms
+                                     else 0)
+            total *= linalg.gaussian_binomial(high - low, nu.get(b, 0) - low,
+                                              p)
+            if not total:
                 return 0
+        return total
+
+    def walk(idx, chosen, anns):
+        if idx == len(walked):
+            return closed_count(chosen, anns)
+        v = walked[idx]
+        dv, nv = dims.get(v, 0), nu.get(v, 0)
+        forms = constraint(v, anns)
+        allowed = (linalg.nullspace(forms, dv, field) if forms
+                   else linalg.identity(dv))
+        if len(allowed) < nv:
+            return 0
         total = 0
         for sub in linalg.subspaces_of(allowed, nv, dv, field):
             chosen[v] = sub
-            total += walk(idx + 1, chosen)
-        del chosen[v]
+            if v in heads:
+                anns[v] = linalg.annihilator(sub, dv, field)
+            total += walk(idx + 1, chosen, anns)
         return total
 
-    return walk(0, {})
+    return walk(0, {}, {})
 
 
 def _memoized(M: QuiverRep, key, make):
@@ -447,6 +489,40 @@ def arrow_ranks(M: QuiverRep) -> dict:
     field = QQ if M.field is None else GF(M.field)
     return _memoized(M, "ranks", lambda: {
         a: linalg.rank(m, field) for a, m in M.mats.items() if m})
+
+
+def subrep_dimension_vectors(M: QuiverRep):
+    """Every nu <= dim M that passes the kernel bound on each arrow.
+
+    A subrepresentation maps U_s into U_t, so nu_s <= nu_t + dim ker M_a
+    on every arrow a = s -> t.  At a good prime the arrows keep their
+    rational ranks, so a nu that breaks the bound has no points there
+    and Euler characteristic 0.  Yields dicts over the support without
+    zero entries, along the walk order (targets first), first vertex
+    outermost.
+    """
+    order, arrows = _support_walk(M)
+    ranks = arrow_ranks(M)
+    index = {v: k for k, v in enumerate(order)}
+    bounds = {v: [] for v in order}
+    for a in arrows:
+        bounds[a[0]].append((index[a[1]], M.dims[a[0]] - ranks[a]))
+    combo = [0] * len(order)
+
+    def walk(idx):
+        if idx == len(order):
+            yield {v: n for v, n in zip(order, combo) if n}
+            return
+        v = order[idx]
+        cap = M.dims[v]
+        for k, corank in bounds[v]:
+            cap = min(cap, combo[k] + corank)
+        for n in range(cap + 1):
+            combo[idx] = n
+            yield from walk(idx + 1)
+        combo[idx] = 0
+
+    return walk(0)
 
 
 def _reduction(M: QuiverRep, p: int) -> QuiverRep:

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from qloop.cartan import CartanData
-from qloop.cluster import (ClusterVariable, classify_finite_type,
+from qloop.cluster import (ClusterVariable, _principal_seed,
+                           classify_finite_type,
                            enumerate_exchange_graph, f_polynomial_and_gvector,
                            gamma_seed, mutate, ring_key,
                            variable_by_denominator)
@@ -74,6 +75,36 @@ def test_skew_symmetry_preserved():
         b = s.b_dict()
         for (v, w), e in b.items():
             assert b.get((w, v), 0) == -e
+
+
+def _mutated_b_all_pairs(seed, k):
+    """Fomin-Zelevinsky matrix mutation over every vertex pair."""
+    b = seed.b_dict()
+    out = {}
+    for v in seed.mutable + seed.frozen:
+        for w in seed.mutable + seed.frozen:
+            if v == w or (v in seed.frozen and w in seed.frozen):
+                continue
+            if k in (v, w):
+                val = -b.get((v, w), 0)
+            else:
+                bvk, bkw = b.get((v, k), 0), b.get((k, w), 0)
+                val = (b.get((v, w), 0) + max(bvk, 0) * max(bkw, 0)
+                       - max(-bvk, 0) * max(-bkw, 0))
+            if val:
+                out[(v, w)] = val
+    return out
+
+
+def test_mutation_matches_the_all_pairs_formula():
+    rng = random.Random(21)
+    for s in (gamma_seed(A3, 2), _principal_seed(gamma_seed(D4, 1))):
+        for _ in range(12):
+            k = rng.choice(s.mutable)
+            nxt = mutate(s, k)
+            assert nxt.b_dict() == _mutated_b_all_pairs(s, k)
+            assert list(nxt.b) == sorted(nxt.b, key=repr)
+            s = nxt
 
 
 @pytest.mark.parametrize("label,level,clusters,variables", [

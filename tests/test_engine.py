@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
                           unique_dominant_monomial, verify_iota, verify_l1,
                           verify_tsystem, y_alpha)
 from qloop.errors import InvalidInputError
-from qloop.quiverrep import indecomposable_rep
+from qloop.lpoly import LPoly
+from qloop.quiverrep import (grassmannian_euler, indecomposable_rep,
+                             subrep_dimension_vectors)
 from qloop.sl2 import kr_qchar_sl2
 from qloop.ymono import (YMonomial, YPolynomial, dominant_terms,
                          truncate_c1)
@@ -148,6 +151,20 @@ def test_fpoly_equals_grassmannian_series_everywhere():
             lhs = cluster_fpoly(c, beta)
             rhs = gr_series(c, indecomposable_rep(c, beta))
             assert lhs == rhs, beta
+
+
+def test_gr_series_prune_drops_only_zero_terms():
+    skipped = 0
+    for c in (A3, D4):
+        for beta in c.positive_roots():
+            rep = indecomposable_rep(c, beta)
+            every_nu = list(itertools.product(*[range(d + 1) for d in beta]))
+            full = LPoly([(tuple((v, n) for v, n in
+                                 zip(rep.quiver.vertices, nu) if n),
+                           grassmannian_euler(rep, nu)) for nu in every_nu])
+            assert gr_series(c, rep) == full, beta
+            skipped += len(every_nu) - len(list(subrep_dimension_vectors(rep)))
+    assert skipped > 0
 
 
 def test_verify_l1_reports():

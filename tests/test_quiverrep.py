@@ -7,6 +7,7 @@ from qloop import linalg
 from qloop.cartan import CartanData
 from qloop.errors import InvalidInputError
 from qloop.linalg import GF
+from qloop.preproj import build_window, injective_module
 from qloop.quiverrep import (Quiver, QuiverRep, ext1_dim, euler_form,
                              generic_decomposition, grassmannian_count_fq,
                              grassmannian_euler, hom_dim, indecomposable_rep,
@@ -162,6 +163,51 @@ def test_count_matches_brute_force():
             nu = tuple(rng.randint(0, d) for d in dims)
             assert (grassmannian_count_fq(rep, nu, 2)
                     == _brute_force_count(rep, nu, 2)), (dims, nu)
+
+
+def _linear_a3(m21, m32):
+    """3 -> 2 -> 1 with dimensions (2, 2, 2): vertex 3 is the only
+    source and vertex 1 the only sink."""
+    return QuiverRep(Quiver((1, 2, 3), ((2, 1), (3, 2))),
+                     {1: 2, 2: 2, 3: 2}, {(2, 1): m21, (3, 2): m32})
+
+
+def test_closed_form_count_matches_brute_force_on_both_sides():
+    # (3, 2) -> (1, 2) has rank 1 mod 2 and mod 3 but rank 2 over Q
+    rep = _linear_a3([[1, 0], [0, 0]], [[1, 2], [-1, 4]])
+    closed_sources = set()
+    for nu in itertools.product(range(3), repeat=3):
+        # the closed side is the one with the larger nu_v (d_v - nu_v)
+        closed_sources.add(nu[2] * (2 - nu[2]) >= nu[0] * (2 - nu[0]))
+        for p in (2, 3):
+            assert (grassmannian_count_fq(rep, nu, p)
+                    == _brute_force_count(rep, nu, p)), (nu, p)
+    assert closed_sources == {True, False}
+
+
+def test_closed_form_count_matches_brute_force_on_window_modules():
+    w = build_window(D4, 0, 6)
+    inj = injective_module(w, 3, 0)
+    # a simple at the top of the window meets no arrow of the support
+    top = QuiverRep(w.quiver, {(3, 6): 2}, {})
+    rng = random.Random(5)
+    for rep in (inj, rep_direct_sum([inj, top])):
+        dims = rep.dim_vector()
+        for _ in range(12):
+            nu = tuple(rng.randint(0, d) for d in dims)
+            for p in (2, 3):
+                assert (grassmannian_count_fq(rep, nu, p)
+                        == _brute_force_count(rep, nu, p)), (nu, p)
+
+
+def test_closed_vertex_without_room_counts_zero():
+    rep = _linear_a3([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    # sink 1 closed: the image of U_2 = F^2 does not fit in a line
+    # source 3 closed: U_3 must map into U_2 = 0, and ker M_(3,2) = 0
+    for nu in ((1, 2, 0), (0, 0, 1)):
+        for p in (2, 3):
+            assert grassmannian_count_fq(rep, nu, p) == 0
+            assert _brute_force_count(rep, nu, p) == 0
 
 
 def test_count_split_sums_to_total_subrep_count():
