@@ -2,7 +2,7 @@
 
 Matrices are lists of row lists acting on column vectors.  Subspaces of
 F_p^n are represented by basis matrices, one basis vector per row; a
-basis is not canonical unless it comes from `span_canonical`.  Over F_p
+basis is not canonical unless it is the row set of an `rref`.  Over F_p
 every entry is a plain int reduced with `% p`.
 """
 
@@ -122,10 +122,6 @@ def mat_mul(A, B, field):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def mat_vec(A, v, field):
-    return [_normalize(field, sum(a * x for a, x in zip(row, v))) for row in A]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
@@ -155,14 +151,6 @@ def primitive_int_vector(vec):
 
 # --- subspaces of F_p^n ---------------------------------------------------
 
-def span_canonical(vectors, ncols, field):
-    """Canonical (RREF) basis rows of the span."""
-    if not vectors:
-        return []
-    red, _ = rref(vectors, field)
-    return red
-
-
 def annihilator(basis, ncols, field):
     """Linear forms vanishing on span(basis), as row vectors."""
     if not basis:
@@ -184,12 +172,12 @@ def _rref_patterns(r, k, p):
             yield mat
 
 
-def subspaces_of(basis, k, ncols, field):
+def subspaces_of(basis, k, field):
     """All k-dimensional subspaces of span(basis), each given by a basis.
 
     The rows of basis must be independent.  Each subspace comes once, as
     pattern . basis for one k x len(basis) reduced echelon pattern; these
-    bases are not canonical (see `span_canonical`).
+    bases are not canonical (the rows of their `rref` are).
     """
     r = len(basis)
     if k == 0:

@@ -4,9 +4,10 @@ Vertices are pairs (i, r) with r = xi_i (mod 2); arrows drop the degree
 by one along Dynkin edges, and the defining relations make the sum of
 all length-two loops (i, r) -> (i, r-2) vanish.  A window module is a
 QuiverRep of the window's acyclic quiver that satisfies the relations.
-Indecomposable injectives are realized as duals of path spaces, and
-q-characters of fundamental and standard modules are obtained from
-Euler characteristics of their quiver Grassmannians.
+Indecomposable injectives are knitted one degree at a time, each space
+the cokernel of a small integer mesh map, and q-characters of
+fundamental and standard modules are obtained from Euler
+characteristics of their quiver Grassmannians.
 """
 
 from __future__ import annotations
@@ -82,57 +83,19 @@ def check_relations(window: ZQWindow, rep: QuiverRep) -> bool:
     return True
 
 
-def _paths_down(window: ZQWindow, target: Vertex) -> Dict[Vertex, list]:
-    """All descending paths from each vertex to target, as arrow tuples."""
-    out_arrows: Dict[Vertex, list] = {}
-    for a in window.quiver.arrows:
-        out_arrows.setdefault(a[0], []).append(a)
-    paths = {target: [()]}
-    for r in range(target[1] + 1, window.r_hi + 1):
-        for v in window.quiver.vertices:
-            if v[1] != r:
-                continue
-            found = []
-            for a in sorted(out_arrows.get(v, [])):
-                for p in paths.get(a[1], []):
-                    found.append((a,) + p)
-            if found:
-                paths[v] = found
-    return paths
-
-
-def _quotient_data(vectors, dim):
-    """Quotient of Q^dim by the span: returns (reducer, basis indices)."""
-    if not vectors:
-        return [], list(range(dim))
-    red, pivots = linalg.rref(vectors, QQ)
-    free = [i for i in range(dim) if i not in pivots]
-    return (red, pivots), free
-
-
-def _reduce_vector(vec, quot, free):
-    if quot:
-        red, pivots = quot
-        for row, pc in zip(red, pivots):
-            f = vec[pc]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-    return [vec[i] for i in free]
-
-
-def _integral(x) -> int:
-    if x.denominator != 1:
-        raise ConsistencyError("injective has a non-integral arrow matrix")
-    return x.numerator
-
-
 def injective_module(window: ZQWindow, i: int, r: int) -> QuiverRep:
-    """Injective hull of the simple at (i, r), as dual path spaces.
+    """Injective hull of the simple at (i, r), knitted degree by degree.
 
-    The basis at each vertex consists of residues of descending paths
-    into (i, r) modulo the relation ideal; arrow action is the transpose
-    of path composition, with integer matrices.  Raises when the support
-    touches the top of the window (rebuild with a larger window).
+    The space at v is dual to e_v Lambda e_t for the target t = (i, r),
+    built upward from Q at t.  Paths out of v = (u, s) start with an
+    arrow a: v -> w, so e_v Lambda e_t is the cokernel of the mesh map
+    e_(u,s-2) Lambda e_t -> (+)_a e_w Lambda e_t, q -> (b_w q)_w, where
+    b_w is the arrow w -> (u, s-2).  Its basis is the non-pivot
+    coordinates of the map's rref.  The arrow matrices are the
+    transposed composition maps, with integer entries: row k of the
+    matrix of a: v -> w is the class of a times basis element k at w.
+    Raises when the support touches the top of the window (rebuild with
+    a larger window).
     """
     c = window.c
     if not in_i0hat(c, i, r):
@@ -141,78 +104,43 @@ def injective_module(window: ZQWindow, i: int, r: int) -> QuiverRep:
     if not (window.r_lo <= r <= window.r_hi):
         raise WindowTooSmallError("target vertex outside the window")
     target = (i, r)
-    paths = _paths_down(window, target)
-    pid = {v: {p: k for k, p in enumerate(sorted(ps))}
-           for v, ps in paths.items()}
-
-    quots = {}
-    dims = {}
+    out_arrows: Dict[Vertex, list] = {}
+    for a in window.quiver.arrows:
+        out_arrows.setdefault(a[0], []).append(a)
+    dims = {v: 0 for v in window.quiver.vertices}
+    dims[target] = 1
+    mats = {}
     for v in window.quiver.vertices:
-        plist = sorted(paths.get(v, []))
-        if not plist:
-            dims[v] = 0
+        if v[1] <= r:
             continue
-        rel_vectors = _relation_vectors(window, v, target, paths, pid[v])
-        quot, free = _quotient_data(rel_vectors, len(plist))
-        quots[v] = (quot, free, plist)
+        arrows = out_arrows.get(v, [])
+        low = (v[0], v[1] - 2)
+        mesh = [[x for (_, w) in arrows for x in mats[(w, low)][k]]
+                for k in range(dims.get(low, 0))]
+        width = sum(dims[w] for (_, w) in arrows)
+        red, pivots = linalg.rref(mesh, QQ) if mesh else ([], [])
+        free = [k for k in range(width) if k not in pivots]
         dims[v] = len(free)
+        # the class of each coordinate vector of (+)_a e_w Lambda e_t
+        cls = [[int(k == f) for f in free] for k in range(width)]
+        for row, pc in zip(red, pivots):
+            if any(row[f].denominator != 1 for f in free):
+                raise ConsistencyError(
+                    "injective has a non-integral arrow matrix")
+            cls[pc] = [-int(row[f]) for f in free]
+        start = 0
+        for a in arrows:
+            mats[a] = cls[start:start + dims[a[1]]]
+            start += dims[a[1]]
 
     _assert_inside(window, dims, target)
-
-    mats = {}
     for a in window.quiver.arrows:
-        src, tgt = a
-        dsrc, dtgt = dims.get(src, 0), dims.get(tgt, 0)
-        if dsrc == 0 or dtgt == 0:
-            mats[a] = [[0] * dsrc for _ in range(dtgt)]
-            continue
-        quot_s, free_s, plist_s = quots[src]
-        _, free_t, plist_t = quots[tgt]
-        # composition map on path spaces, then transpose for the dual
-        comp = []
-        for p in (plist_t[k] for k in free_t):
-            vec = [QQ.zero] * len(plist_s)
-            vec[pid[src][(a,) + p]] = QQ.one
-            comp.append([_integral(x)
-                         for x in _reduce_vector(vec, quot_s, free_s)])
-        # comp rows: images of target-side basis paths inside Q_src
-        mats[a] = comp
+        if a not in mats:
+            mats[a] = linalg.zero_matrix(dims[a[1]], dims[a[0]])
     rep = QuiverRep(window.quiver, dims, mats)
     if not check_relations(window, rep):
         raise ConsistencyError("injective construction violates a relation")
     return rep
-
-
-def _relation_vectors(window, v, target, paths, index):
-    """Span of p . sigma_(u,t) . q inside the path space of v -> target."""
-    c = window.c
-    vset = set(window.quiver.vertices)
-    vectors = []
-    # every route v -> midpoint is a prefix of some full path into target
-    prefixes = {}
-    for p in paths.get(v, []):
-        node = v
-        for ln in range(len(p) + 1):
-            prefixes.setdefault((node, p[:ln]), True)
-            if ln < len(p):
-                node = p[ln][1]
-    for (node, pref) in prefixes:
-        (u, t) = node
-        if (u, t - 2) not in vset or t - 2 < target[1]:
-            continue
-        for tail in paths.get((u, t - 2), []):
-            vec = [0] * len(paths[v])
-            hit = False
-            for j in c.neighbors(u):
-                mid = (j, t - 1)
-                if mid not in vset:
-                    continue
-                full = pref + (((u, t), mid), (mid, (u, t - 2))) + tail
-                vec[index[full]] += 1
-                hit = True
-            if hit:
-                vectors.append(vec)
-    return vectors
 
 
 def _assert_inside(window, dims, target):

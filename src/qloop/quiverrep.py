@@ -457,7 +457,7 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
         if len(allowed) < nv:
             return 0
         total = 0
-        for sub in linalg.subspaces_of(allowed, nv, dv, field):
+        for sub in linalg.subspaces_of(allowed, nv, field):
             chosen[v] = sub
             if v in heads:
                 anns[v] = linalg.annihilator(sub, dv, field)

@@ -52,7 +52,7 @@ def test_indecomposable_d4_highest_root():
     for outer in (1, 2, 4):
         col = [row[0] for row in m.mats[(outer, 3)]]
         assert any(col), "outer map must be injective"
-        images.append(linalg.span_canonical([col], 2, linalg.QQ))
+        images.append(linalg.rref([col], linalg.QQ)[0])
     assert len({tuple(map(tuple, img)) for img in images}) == 3
     assert hom_dim(m, m) == 1
 
@@ -115,7 +115,7 @@ def _brute_force_count(rep, nu, p):
     field = GF(p)
     verts = rep.quiver.vertices
     all_subs = {v: list(linalg.subspaces_of(linalg.identity(rep.dims[v]),
-                                            nu[i], rep.dims[v], field))
+                                            nu[i], field))
                 for i, v in enumerate(verts)}
     count = 0
     for combo in itertools.product(*[all_subs[v] for v in verts]):
@@ -124,7 +124,8 @@ def _brute_force_count(rep, nu, p):
         for (s, t) in rep.quiver.arrows:
             mat = [[x % p for x in row] for row in rep.mats[(s, t)]]
             for vec in chosen[s]:
-                img = linalg.mat_vec(mat, vec, field)
+                img = [y for [y] in linalg.mat_mul(mat, [[x] for x in vec],
+                                                    field)]
                 ann = linalg.annihilator(chosen[t], rep.dims[t], field)
                 if any(sum(a * b for a, b in zip(row, img)) % p
                        for row in ann):
