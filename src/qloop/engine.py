@@ -118,12 +118,8 @@ def v_variable(c: CartanData, i: int) -> YMonomial:
 
 def gr_series(c: CartanData, rep: quiverrep.QuiverRep) -> LPoly:
     """Generating series of Euler characteristics over subrep dimensions."""
-    terms = []
-    for nu in quiverrep.subrep_dimension_vectors(rep):
-        chi = quiverrep.grassmannian_euler(rep, nu)
-        if chi:
-            terms.append((tuple(sorted(nu.items())), chi))
-    return LPoly(terms)
+    return LPoly([(tuple(sorted(nu)), chi)
+                  for nu, chi in quiverrep.euler_series(rep).items()])
 
 
 def _series_to_qchar(c: CartanData, top: YMonomial, series: LPoly) -> YPolynomial:

@@ -31,10 +31,6 @@ def in_i0hat(c: CartanData, i: int, r: int) -> bool:
     return 1 <= i <= c.n and (r - c.xi[i - 1]) % 2 == 0
 
 
-def in_i1hat(c: CartanData, i: int, r: int) -> bool:
-    return 1 <= i <= c.n and (r - c.xi[i - 1]) % 2 == 1
-
-
 @dataclass(frozen=True)
 class ZQWindow:
     """Finite slice of the repetition quiver with its relations."""
@@ -201,57 +197,9 @@ def standard_qchar(c: CartanData, W) -> YPolynomial:
 def _grassmannian_qchar(window: ZQWindow, delta: QuiverRep,
                         top: YMonomial) -> YPolynomial:
     terms = []
-    for nu in quiverrep.subrep_dimension_vectors(delta):
-        chi = quiverrep.grassmannian_euler(delta, nu)
-        if chi:
-            mono = top
-            for (j, s), n in nu.items():
-                mono = mono * (a_monomial_exps(window.c, j, s + 1) ** (-n))
-            terms.append((mono, chi))
+    for nu, chi in quiverrep.euler_series(delta).items():
+        mono = top
+        for (j, s), n in nu:
+            mono = mono * (a_monomial_exps(window.c, j, s + 1) ** (-n))
+        terms.append((mono, chi))
     return YPolynomial(terms)
-
-
-# --- graded weight spaces and l-dominance ----------------------------------
-
-def validate_graded_w(c: CartanData, W) -> dict:
-    W = {k: v for k, v in dict(W).items() if v}
-    for (i, r), mult in W.items():
-        if not in_i0hat(c, i, r) or mult < 0:
-            raise InvalidInputError(f"bad W entry ({i},{r}) -> {mult}")
-    return W
-
-
-def validate_graded_v(c: CartanData, V) -> dict:
-    V = {k: v for k, v in dict(V).items() if v}
-    for (i, r), mult in V.items():
-        if not in_i1hat(c, i, r) or mult < 0:
-            raise InvalidInputError(f"bad V entry ({i},{r}) -> {mult}")
-    return V
-
-
-def is_l_dominant(c: CartanData, W, V) -> bool:
-    """Nonnegativity of every graded weight d_i(r) of the pair (V, W)."""
-    W = validate_graded_w(c, W)
-    V = validate_graded_v(c, V)
-    spots = set(W)
-    for (j, s) in V:
-        spots.add((j, s + 1))
-        spots.add((j, s - 1))
-        for k in c.neighbors(j):
-            spots.add((k, s))
-    for (i, r) in spots:
-        d = W.get((i, r), 0) - V.get((i, r + 1), 0) - V.get((i, r - 1), 0)
-        for j in c.neighbors(i):
-            d += V.get((j, r), 0)
-        if d < 0:
-            return False
-    return True
-
-
-def yw_av_monomial(c: CartanData, W, V) -> YMonomial:
-    """The monomial Y^W A^V attached to a graded pair."""
-    mono = YMonomial([((i, r), m) for (i, r), m in
-                      validate_graded_w(c, W).items()])
-    for (j, s), m in validate_graded_v(c, V).items():
-        mono = mono * (a_monomial_exps(c, j, s) ** (-m))
-    return mono

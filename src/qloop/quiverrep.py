@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import lcm
+from operator import mul
 from typing import Dict, List, Optional
 
 from . import linalg
@@ -388,32 +392,49 @@ def generic_decomposition(c: CartanData, d) -> List[tuple]:
 
 # --- quiver Grassmannians --------------------------------------------------
 
-def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
-    """Number of subspace tuples of the given dimensions closed under mats.
+def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> dict:
+    """Point counts over F_p of subrepresentation Grassmannians, by nu.
 
-    vertices_order must list arrow targets before their sources; mats are
-    integer matrices, read mod p.  One side is counted in closed form:
-    the sources or the sinks, whichever has the larger sum of
-    nu_v (d_v - nu_v), ties going to the sources.  Neither side has an
-    arrow inside it, so the subspaces at the other vertices, walked
-    targets first, fix everything a closed vertex b sees: W_b, the span
-    of the images of the arrows into b, and P_b, the common preimage of
-    the subspaces at the targets of the arrows out of b.  A source has
-    W_b = 0 and a sink has P_b = M_b, so W_b lies in P_b, and the U_b
-    between them number [dim P_b - dim W_b, nu_b - dim W_b]_p, which is
-    0 when nu_b lies outside [dim W_b, dim P_b].
+    Counts the tuples of subspaces U_v of F_p^(d_v) closed under mats,
+    integer matrices read mod p; vertices_order must list arrow targets
+    before their sources.  nu is a dict that pins dim U_v at every
+    vertex, or None, which leaves every dimension free.  Returns
+    {nu: count} over the nu with points, each nu a tuple of (vertex,
+    dim U_v) pairs along vertices_order with the zeros left out.
+
+    One side is counted in closed form: the sources or the sinks,
+    whichever has the larger sum of nu_v (d_v - nu_v), or of its largest
+    value floor(d_v^2 / 4) when nu is free, ties going to the sources.
+    Neither side has an arrow inside it, so the subspaces at the other
+    vertices, walked targets first, fix everything a closed vertex b
+    sees: W_b, the span of the images of the arrows into b, and P_b, the
+    common preimage of the subspaces at the targets of the arrows out of
+    b.  A source has W_b = 0 and a sink has P_b = M_b, so W_b lies in
+    P_b, and the U_b of dimension k between them number
+    [dim P_b - dim W_b, k - dim W_b]_p for dim W_b <= k <= dim P_b.
+    Every partial choice extends by zero subspaces, so a free walk meets
+    no dead end: its work follows the number of points.
     """
     field = GF(p)
-    if any(nu.get(v, 0) > dims.get(v, 0) for v in vertices_order):
-        return 0
+    if nu is not None and any(nu.get(v, 0) > dims.get(v, 0)
+                              for v in vertices_order):
+        return {}
     heads = {t for (_, t) in arrows}
     tails = {s for (s, _) in arrows}
     sources = [v for v in vertices_order if v not in heads]
     sinks = [v for v in vertices_order if v not in tails]
 
     def degree(side):
+        if nu is None:
+            return sum(dims.get(v, 0) ** 2 // 4 for v in side)
         return sum(nu.get(v, 0) * (dims.get(v, 0) - nu.get(v, 0))
                    for v in side)
+
+    def span(v, low, high):
+        """The dimensions U_v may take between low and high."""
+        if nu is None:
+            return range(low, high + 1)
+        return (nu.get(v, 0),) if low <= nu.get(v, 0) <= high else ()
 
     closed = sources if degree(sources) >= degree(sinks) else sinks
     shut = set(closed)
@@ -426,13 +447,16 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
             in_arrows[t].append((s, linalg.transpose(mats[(s, t)])))
         else:
             out_arrows[s].append((t, mats[(s, t)]))
+    index = {v: k for k, v in enumerate(vertices_order)}
+    combo = [0] * len(vertices_order)
+    counts = {}
 
     def constraint(v, anns):
         return [row for t, m in out_arrows[v]
                 for row in linalg.mat_mul(anns[t], m, field)]
 
-    def closed_count(chosen, anns):
-        total = 1
+    def close(chosen, anns):
+        choices = []
         for b in closed:
             images = [row for s, mt in in_arrows[b]
                       for row in linalg.mat_mul(chosen[s], mt, field)]
@@ -440,31 +464,38 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> int:
             low = linalg.rank(images, field) if images else 0
             high = dims.get(b, 0) - (linalg.rank(forms, field) if forms
                                      else 0)
-            total *= linalg.gaussian_binomial(high - low, nu.get(b, 0) - low,
-                                              p)
-            if not total:
-                return 0
-        return total
+            ks = span(b, low, high)
+            if not ks:
+                return
+            choices.append([(k, linalg.gaussian_binomial(high - low, k - low,
+                                                         p)) for k in ks])
+        for pick in product(*choices):
+            total = 1
+            for b, (k, n) in zip(closed, pick):
+                combo[index[b]] = k
+                total *= n
+            key = tuple((v, k) for v, k in zip(vertices_order, combo) if k)
+            counts[key] = counts.get(key, 0) + total
 
     def walk(idx, chosen, anns):
         if idx == len(walked):
-            return closed_count(chosen, anns)
+            close(chosen, anns)
+            return
         v = walked[idx]
-        dv, nv = dims.get(v, 0), nu.get(v, 0)
+        dv = dims.get(v, 0)
         forms = constraint(v, anns)
         allowed = (linalg.nullspace(forms, dv, field) if forms
                    else linalg.identity(dv))
-        if len(allowed) < nv:
-            return 0
-        total = 0
-        for sub in linalg.subspaces_of(allowed, nv, field):
-            chosen[v] = sub
-            if v in heads:
-                anns[v] = linalg.annihilator(sub, dv, field)
-            total += walk(idx + 1, chosen, anns)
-        return total
+        for k in span(v, 0, len(allowed)):
+            combo[index[v]] = k
+            for sub in linalg.subspaces_of(allowed, k, field):
+                chosen[v] = sub
+                if v in heads:
+                    anns[v] = linalg.annihilator(sub, dv, field)
+                walk(idx + 1, chosen, anns)
 
-    return walk(0, {}, {})
+    walk(0, {}, {})
+    return counts
 
 
 def _memoized(M: QuiverRep, key, make):
@@ -491,40 +522,6 @@ def arrow_ranks(M: QuiverRep) -> dict:
         a: linalg.rank(m, field) for a, m in M.mats.items() if m})
 
 
-def subrep_dimension_vectors(M: QuiverRep):
-    """Every nu <= dim M that passes the kernel bound on each arrow.
-
-    A subrepresentation maps U_s into U_t, so nu_s <= nu_t + dim ker M_a
-    on every arrow a = s -> t.  At a good prime the arrows keep their
-    rational ranks, so a nu that breaks the bound has no points there
-    and Euler characteristic 0.  Yields dicts over the support without
-    zero entries, along the walk order (targets first), first vertex
-    outermost.
-    """
-    order, arrows = _support_walk(M)
-    ranks = arrow_ranks(M)
-    index = {v: k for k, v in enumerate(order)}
-    bounds = {v: [] for v in order}
-    for a in arrows:
-        bounds[a[0]].append((index[a[1]], M.dims[a[0]] - ranks[a]))
-    combo = [0] * len(order)
-
-    def walk(idx):
-        if idx == len(order):
-            yield {v: n for v, n in zip(order, combo) if n}
-            return
-        v = order[idx]
-        cap = M.dims[v]
-        for k, corank in bounds[v]:
-            cap = min(cap, combo[k] + corank)
-        for n in range(cap + 1):
-            combo[idx] = n
-            yield from walk(idx + 1)
-        combo[idx] = 0
-
-    return walk(0)
-
-
 def _reduction(M: QuiverRep, p: int) -> QuiverRep:
     if M.field == p:
         return M
@@ -541,7 +538,8 @@ def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
         raise InvalidInputError("representation is over a different prime")
     rep = _reduction(M, p)
     order, arrows = _support_walk(M)
-    return count_subrep_tuples(order, arrows, rep.dims, rep.mats, nu, p)
+    return sum(count_subrep_tuples(order, arrows, rep.dims, rep.mats, nu,
+                                   p).values())
 
 
 def _nu_dict(M: QuiverRep, nu) -> dict:
@@ -578,54 +576,42 @@ def interpolate_at_one(points, degree_bound: int) -> int:
     """Fit an integer polynomial of bounded degree; evaluate at 1.
 
     points are (p, count) pairs; must contain at least degree_bound + 2
-    entries so polynomiality is tested, not just interpolated.
+    entries so polynomiality is tested, not just interpolated.  The first
+    degree_bound + 1 points fix the coefficients, through the inverse
+    Vandermonde matrix of their primes; the fit is checked at all points.
     """
     if len(points) < degree_bound + 2:
         raise InvalidInputError("not enough sample points")
     base = points[:degree_bound + 1]
-    # Lagrange evaluation at x=1 plus full-coefficient reconstruction
-    coeffs = _lagrange_coeffs(base)
+    den, weights = _inverse_vandermonde(tuple(x for x, _ in base))
+    ys = [y for _, y in base]
+    # den times the coefficients, constant term first
+    coeffs = [sum(map(mul, row, ys)) for row in weights]
     for (x, y) in points:
-        if _poly_eval(coeffs, Fraction(x)) != y:
+        acc = 0
+        for co in reversed(coeffs):
+            acc = acc * x + co
+        if acc != den * y:
             raise ConsistencyError(
                 "point counts do not fit a polynomial within the degree bound")
-    if any(co.denominator != 1 for co in coeffs):
+    if any(co % den for co in coeffs):
         raise ConsistencyError("counting polynomial is not integral")
-    val = _poly_eval(coeffs, Fraction(1))
-    return int(val)
+    return sum(coeffs) // den
 
 
-def _lagrange_coeffs(points) -> List[Fraction]:
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _poly_mul_linear(basis, -Fraction(xj))
-            denom *= Fraction(xi) - Fraction(xj)
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
-    return coeffs
+@lru_cache(maxsize=64)
+def _inverse_vandermonde(xs: tuple):
+    """(den, W): W / den is the inverse of the Vandermonde matrix of xs.
 
-
-def _poly_mul_linear(coeffs, const):
-    # multiply sum c_k x^k by (x + const)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for k, ck in enumerate(coeffs):
-        out[k + 1] += ck
-        out[k] += ck * const
-    return out
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for ck in reversed(coeffs):
-        acc = acc * x + ck
-    return acc
+    Row k of W / den maps the values at xs to the coefficient of x^k.
+    One rref over Q of [V | I] gives it; W is an integer matrix.
+    """
+    n = len(xs)
+    aug = [[x ** k for k in range(n)] + [int(i == j) for j in range(n)]
+           for i, x in enumerate(xs)]
+    inv = [row[n:] for row in linalg.rref(aug, QQ)[0]]
+    den = lcm(*(q.denominator for row in inv for q in row))
+    return den, tuple(tuple(int(q * den) for q in row) for row in inv)
 
 
 def grassmannian_euler(M: QuiverRep, nu) -> int:
@@ -642,6 +628,44 @@ def grassmannian_euler(M: QuiverRep, nu) -> int:
     primes = _first_good_primes(M, bound + 2)
     points = [(p, grassmannian_count_fq(M, nud, p)) for p in primes]
     return interpolate_at_one(points, bound)
+
+
+def euler_series(M: QuiverRep) -> dict:
+    """Every nonzero Euler characteristic of M's quiver Grassmannians.
+
+    Returns {nu: chi}, each nu a tuple of (vertex, nu_v) pairs along the
+    walk order with the zeros left out.  One free walk at the first good
+    prime p (count_subrep_tuples with nu None) finds the nu whose
+    Grassmannian has points over F_p, and grassmannian_euler runs on
+    those nu only.  This is exact because every counting polynomial P
+    here has nonnegative coefficients: P(p) = 0 forces P = 0, so a nu
+    the walk misses has chi = 0, and P(p) > 0 forces chi = P(1) > 0.
+    - Preprojective route: the Grassmannians of sums of injectives of the
+      graded preprojective algebra are Nakajima's graded quiver
+      varieties (Leclerc and Plamondon, Nakajima varieties and
+      repetitive algebras, 2013; Hernandez and Leclerc, Quantum
+      Grothendieck rings and derived Hall algebras, 2015), whose
+      cohomology is pure and vanishes in odd degrees (Nakajima, J. Amer.
+      Math. Soc. 14, 2001, and Ann. of Math. 160, 2004).
+    - Level-1 route: M is a rigid representation of a Dynkin quiver, and
+      a nonempty Gr_e(M) is smooth, projective and irreducible of
+      dimension <e, d - e> (Caldero and Reineke, J. Pure Appl. Algebra
+      212, 2008); its polynomial count is then its Poincare polynomial
+      in q = t^2.
+    Raises ConsistencyError on a chi <= 0, which would break that.
+    """
+    p = _first_good_primes(M, 1)[0]
+    rep = _reduction(M, p)
+    order, arrows = _support_walk(M)
+    series = {}
+    for nu in count_subrep_tuples(order, arrows, rep.dims, rep.mats, None, p):
+        chi = grassmannian_euler(M, dict(nu))
+        if chi <= 0:
+            raise ConsistencyError(
+                f"Euler characteristic {chi} at {nu}, which has points over "
+                f"F_{p}; the counting polynomial is not positive")
+        series[nu] = chi
+    return series
 
 
 def reflect_i1(c: CartanData, beta) -> tuple:

@@ -5,13 +5,15 @@ import pytest
 
 from qloop import linalg
 from qloop.cartan import CartanData
-from qloop.errors import InvalidInputError
+from qloop.errors import ConsistencyError, InvalidInputError
 from qloop.linalg import GF
 from qloop.preproj import build_window, injective_module
-from qloop.quiverrep import (Quiver, QuiverRep, ext1_dim, euler_form,
+from qloop.quiverrep import (Quiver, QuiverRep, _support_walk,
+                             count_subrep_tuples, ext1_dim, euler_form,
                              generic_decomposition, grassmannian_count_fq,
                              grassmannian_euler, hom_dim, indecomposable_rep,
-                             positive_roots, reflect_i1, rep_direct_sum)
+                             interpolate_at_one, positive_roots, reflect_i1,
+                             rep_direct_sum)
 
 A2 = CartanData.from_label("A2")
 A3 = CartanData.from_label("A3")
@@ -211,6 +213,27 @@ def test_closed_vertex_without_room_counts_zero():
             assert _brute_force_count(rep, nu, p) == 0
 
 
+def test_free_walk_matches_pinned_counts():
+    w = build_window(D4, 0, 6)
+    reps = [_linear_a3([[1, 0], [0, 0]], [[1, 2], [-1, 4]]),
+            _linear_a3([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+            indecomposable_rep(D4, (1, 1, 2, 1)),
+            injective_module(w, 3, 0)]
+    for rep in reps:
+        order, arrows = _support_walk(rep)
+        for p in (2, 3):
+            mats = {a: [[x % p for x in row] for row in m]
+                    for a, m in rep.mats.items()}
+            free = count_subrep_tuples(order, arrows, rep.dims, mats, None, p)
+            pinned = {}
+            for nu in itertools.product(*[range(rep.dims[v] + 1)
+                                          for v in order]):
+                n = grassmannian_count_fq(rep, dict(zip(order, nu)), p)
+                if n:
+                    pinned[tuple((v, k) for v, k in zip(order, nu) if k)] = n
+            assert free == pinned, (rep.dim_vector(), p)
+
+
 def test_count_split_sums_to_total_subrep_count():
     m = indecomposable_rep(D4, (1, 1, 2, 1))
     p = 3
@@ -231,6 +254,33 @@ def test_count_rejects_oversized_nu():
     m = indecomposable_rep(A2, (1, 1))
     with pytest.raises(InvalidInputError):
         grassmannian_count_fq(m, (2, 0), 3)
+
+
+def test_interpolate_at_one_recovers_a_known_polynomial():
+    # 3x^3 - 2x + 5; a larger degree bound fits a zero top coefficient
+    points = [(p, 3 * p ** 3 - 2 * p + 5) for p in (2, 3, 5, 7, 11, 13)]
+    assert interpolate_at_one(points, 3) == 6
+    assert interpolate_at_one(points, 4) == 6
+    assert interpolate_at_one([(2, 7), (3, 7)], 0) == 7
+
+
+def test_interpolate_at_one_needs_a_spare_point():
+    points = [(p, p + 1) for p in (2, 3, 5)]
+    with pytest.raises(InvalidInputError, match="not enough"):
+        interpolate_at_one(points, 2)
+
+
+def test_interpolate_at_one_rejects_a_point_off_the_fit():
+    points = [(p, p * p + 1) for p in (2, 3, 5)] + [(7, 51)]
+    with pytest.raises(ConsistencyError, match="do not fit"):
+        interpolate_at_one(points, 2)
+
+
+def test_interpolate_at_one_rejects_a_non_integral_fit():
+    # x (x - 1) / 2 is integer valued with coefficients 1/2
+    points = [(p, p * (p - 1) // 2) for p in (2, 3, 5, 7)]
+    with pytest.raises(ConsistencyError, match="not integral"):
+        interpolate_at_one(points, 2)
 
 
 def test_euler_examples():
