@@ -392,49 +392,36 @@ def generic_decomposition(c: CartanData, d) -> List[tuple]:
 
 # --- quiver Grassmannians --------------------------------------------------
 
-def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> dict:
+def count_subrep_tuples(vertices_order, arrows, dims, mats, p) -> dict:
     """Point counts over F_p of subrepresentation Grassmannians, by nu.
 
     Counts the tuples of subspaces U_v of F_p^(d_v) closed under mats,
-    integer matrices read mod p; vertices_order must list arrow targets
-    before their sources.  nu is a dict that pins dim U_v at every
-    vertex, or None, which leaves every dimension free.  Returns
-    {nu: count} over the nu with points, each nu a tuple of (vertex,
-    dim U_v) pairs along vertices_order with the zeros left out.
+    integer matrices read mod p, with every dimension free;
+    vertices_order must list arrow targets before their sources.
+    Returns {nu: count} over the nu with points, each nu a tuple of
+    (vertex, dim U_v) pairs along vertices_order with the zeros left out.
 
     One side is counted in closed form: the sources or the sinks,
-    whichever has the larger sum of nu_v (d_v - nu_v), or of its largest
-    value floor(d_v^2 / 4) when nu is free, ties going to the sources.
-    Neither side has an arrow inside it, so the subspaces at the other
-    vertices, walked targets first, fix everything a closed vertex b
-    sees: W_b, the span of the images of the arrows into b, and P_b, the
-    common preimage of the subspaces at the targets of the arrows out of
-    b.  A source has W_b = 0 and a sink has P_b = M_b, so W_b lies in
-    P_b, and the U_b of dimension k between them number
-    [dim P_b - dim W_b, k - dim W_b]_p for dim W_b <= k <= dim P_b.
-    Every partial choice extends by zero subspaces, so a free walk meets
-    no dead end: its work follows the number of points.
+    whichever has the larger sum of floor(d_v^2 / 4), the largest value
+    of nu_v (d_v - nu_v), ties going to the sources.  Neither side has
+    an arrow inside it, so the subspaces at the other vertices, walked
+    targets first, fix everything a closed vertex b sees: W_b, the span
+    of the images of the arrows into b, and P_b, the common preimage of
+    the subspaces at the targets of the arrows out of b.  A source has
+    W_b = 0 and a sink has P_b = M_b, so W_b lies in P_b, and the U_b of
+    dimension k between them number [dim P_b - dim W_b, k - dim W_b]_p
+    for dim W_b <= k <= dim P_b.  Every partial choice extends by zero
+    subspaces, so the walk meets no dead end: its work follows the
+    number of points.
     """
     field = GF(p)
-    if nu is not None and any(nu.get(v, 0) > dims.get(v, 0)
-                              for v in vertices_order):
-        return {}
     heads = {t for (_, t) in arrows}
     tails = {s for (s, _) in arrows}
     sources = [v for v in vertices_order if v not in heads]
     sinks = [v for v in vertices_order if v not in tails]
 
     def degree(side):
-        if nu is None:
-            return sum(dims.get(v, 0) ** 2 // 4 for v in side)
-        return sum(nu.get(v, 0) * (dims.get(v, 0) - nu.get(v, 0))
-                   for v in side)
-
-    def span(v, low, high):
-        """The dimensions U_v may take between low and high."""
-        if nu is None:
-            return range(low, high + 1)
-        return (nu.get(v, 0),) if low <= nu.get(v, 0) <= high else ()
+        return sum(dims.get(v, 0) ** 2 // 4 for v in side)
 
     closed = sources if degree(sources) >= degree(sinks) else sinks
     shut = set(closed)
@@ -464,11 +451,9 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> dict:
             low = linalg.rank(images, field) if images else 0
             high = dims.get(b, 0) - (linalg.rank(forms, field) if forms
                                      else 0)
-            ks = span(b, low, high)
-            if not ks:
-                return
             choices.append([(k, linalg.gaussian_binomial(high - low, k - low,
-                                                         p)) for k in ks])
+                                                         p))
+                            for k in range(low, high + 1)])
         for pick in product(*choices):
             total = 1
             for b, (k, n) in zip(closed, pick):
@@ -486,7 +471,7 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, nu, p) -> dict:
         forms = constraint(v, anns)
         allowed = (linalg.nullspace(forms, dv, field) if forms
                    else linalg.identity(dv))
-        for k in span(v, 0, len(allowed)):
+        for k in range(len(allowed) + 1):
             combo[index[v]] = k
             for sub in linalg.subspaces_of(allowed, k, field):
                 chosen[v] = sub
@@ -528,24 +513,31 @@ def _reduction(M: QuiverRep, p: int) -> QuiverRep:
     return _memoized(M, ("mod", p), lambda: M.reduce_mod(p))
 
 
+def _points(M: QuiverRep, p: int) -> dict:
+    """{nu: point count over F_p}, from one free walk of M mod p."""
+    def make():
+        rep = _reduction(M, p)
+        order, arrows = _support_walk(M)
+        return count_subrep_tuples(order, arrows, rep.dims, rep.mats, p)
+    return _memoized(M, ("points", p), make)
+
+
+def _nu_key(M: QuiverRep, nu) -> tuple:
+    """nu as a key of _points; raises unless 0 <= nu_v <= d_v everywhere."""
+    if not hasattr(nu, "items"):
+        nu = {v: nu[i] for i, v in enumerate(M.quiver.vertices)}
+    if any(not 0 <= nu.get(v, 0) <= M.dims.get(v, 0)
+           for v in M.quiver.vertices):
+        raise InvalidInputError("nu must lie between 0 and dim M")
+    return tuple((v, nu[v]) for v in _support_walk(M)[0] if nu.get(v, 0))
+
+
 def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
     """Point count of the subrepresentation Grassmannian over F_p."""
-    nu = _nu_dict(M, nu)
-    for v in M.quiver.vertices:
-        if nu.get(v, 0) > M.dims.get(v, 0):
-            raise InvalidInputError("nu exceeds the dimension vector")
+    key = _nu_key(M, nu)
     if M.field not in (None, p):
         raise InvalidInputError("representation is over a different prime")
-    rep = _reduction(M, p)
-    order, arrows = _support_walk(M)
-    return sum(count_subrep_tuples(order, arrows, rep.dims, rep.mats, nu,
-                                   p).values())
-
-
-def _nu_dict(M: QuiverRep, nu) -> dict:
-    if hasattr(nu, "items"):
-        return dict(nu)
-    return {v: nu[i] for i, v in enumerate(M.quiver.vertices)}
+    return _points(M, p).get(key, 0)
 
 
 def _first_good_primes(M: QuiverRep, count: int) -> List[int]:
@@ -580,6 +572,8 @@ def interpolate_at_one(points, degree_bound: int) -> int:
     degree_bound + 1 points fix the coefficients, through the inverse
     Vandermonde matrix of their primes; the fit is checked at all points.
     """
+    if degree_bound < 0:
+        raise InvalidInputError("degree bound must be nonnegative")
     if len(points) < degree_bound + 2:
         raise InvalidInputError("not enough sample points")
     base = points[:degree_bound + 1]
@@ -615,31 +609,27 @@ def _inverse_vandermonde(xs: tuple):
 
 
 def grassmannian_euler(M: QuiverRep, nu) -> int:
-    """Euler characteristic via point counts at good primes.
+    """Euler characteristic of the subrepresentation Grassmannian at nu.
 
-    The counting function is asserted to be an integer polynomial of
-    degree at most sum_i nu_i (d_i - nu_i); its value at 1 is returned.
+    Read off euler_series, so every counting polynomial of M must have
+    nonnegative coefficients, as for both routes' modules and for every
+    indecomposable of a Dynkin quiver (all that `rep euler` builds).
     """
-    if M.field is not None:
-        raise InvalidInputError("Euler characteristics need a rational model")
-    nud = _nu_dict(M, nu)
-    bound = sum(nud.get(v, 0) * (M.dims.get(v, 0) - nud.get(v, 0))
-                for v in M.quiver.vertices)
-    primes = _first_good_primes(M, bound + 2)
-    points = [(p, grassmannian_count_fq(M, nud, p)) for p in primes]
-    return interpolate_at_one(points, bound)
+    return euler_series(M).get(_nu_key(M, nu), 0)
 
 
 def euler_series(M: QuiverRep) -> dict:
     """Every nonzero Euler characteristic of M's quiver Grassmannians.
 
     Returns {nu: chi}, each nu a tuple of (vertex, nu_v) pairs along the
-    walk order with the zeros left out.  One free walk at the first good
-    prime p (count_subrep_tuples with nu None) finds the nu whose
-    Grassmannian has points over F_p, and grassmannian_euler runs on
-    those nu only.  This is exact because every counting polynomial P
-    here has nonnegative coefficients: P(p) = 0 forces P = 0, so a nu
-    the walk misses has chi = 0, and P(p) > 0 forces chi = P(1) > 0.
+    walk order with the zeros left out.  Each good prime gets one free
+    walk, memoized on M.  The walk at the first good prime p1 finds the
+    nu with points; each is interpolated from the walks at the first
+    bound + 2 good primes.  This is exact because every counting
+    polynomial P here has nonnegative integer coefficients: P(p1) = 0
+    forces P = 0, so a nu the walk misses has chi = 0, and P(p1) = n > 0
+    forces chi = P(1) > 0 and p1^deg P <= n, so the degree bound is the
+    smaller of the largest b with p1^b <= n and sum_v nu_v (d_v - nu_v).
     - Preprojective route: the Grassmannians of sums of injectives of the
       graded preprojective algebra are Nakajima's graded quiver
       varieties (Leclerc and Plamondon, Nakajima varieties and
@@ -652,18 +642,24 @@ def euler_series(M: QuiverRep) -> dict:
       dimension <e, d - e> (Caldero and Reineke, J. Pure Appl. Algebra
       212, 2008); its polynomial count is then its Poincare polynomial
       in q = t^2.
-    Raises ConsistencyError on a chi <= 0, which would break that.
+    Raises ConsistencyError on a misfit or a chi <= 0, which break that.
     """
-    p = _first_good_primes(M, 1)[0]
-    rep = _reduction(M, p)
-    order, arrows = _support_walk(M)
+    if M.field is not None:
+        raise InvalidInputError("Euler characteristics need a rational model")
+    p1 = _first_good_primes(M, 1)[0]
     series = {}
-    for nu in count_subrep_tuples(order, arrows, rep.dims, rep.mats, None, p):
-        chi = grassmannian_euler(M, dict(nu))
+    for nu, n in _points(M, p1).items():
+        bound, power = 0, p1
+        while power <= n:
+            bound, power = bound + 1, power * p1
+        bound = min(bound, sum(k * (M.dims[v] - k) for v, k in nu))
+        chi = interpolate_at_one([(p, _points(M, p).get(nu, 0))
+                                  for p in _first_good_primes(M, bound + 2)],
+                                 bound)
         if chi <= 0:
             raise ConsistencyError(
                 f"Euler characteristic {chi} at {nu}, which has points over "
-                f"F_{p}; the counting polynomial is not positive")
+                f"F_{p1}; the counting polynomial is not positive")
         series[nu] = chi
     return series
 

@@ -68,6 +68,10 @@ def test_rep_commands(capsys):
     code, _, err = run(capsys, "rep", "euler", "--type", "A2",
                        "--beta", "1,1", "--nu", "0,1,0")
     assert code == 2
+    for nu in ("--nu=2,0,0,0", "--nu=-1,0,0,0"):
+        code, out, err = run(capsys, "rep", "euler", "--type", "D4",
+                             "--beta", "1,1,2,1", nu)
+        assert code == 2 and out == "" and "error" in err, nu
 
 
 def test_qchar_standard(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import golden_data
+from test_euler_series import loose_bound_euler
 from qloop import engine
 from qloop.cartan import CartanData
 from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
@@ -13,8 +14,7 @@ from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
                           verify_tsystem, y_alpha)
 from qloop.errors import InvalidInputError
 from qloop.lpoly import LPoly
-from qloop.quiverrep import (euler_series, grassmannian_euler,
-                             indecomposable_rep)
+from qloop.quiverrep import euler_series, indecomposable_rep
 from qloop.sl2 import kr_qchar_sl2
 from qloop.ymono import (YMonomial, YPolynomial, dominant_terms,
                          truncate_c1)
@@ -158,10 +158,10 @@ def test_gr_series_prune_drops_only_zero_terms():
     for c in (A3, D4):
         for beta in c.positive_roots():
             rep = indecomposable_rep(c, beta)
-            every_nu = list(itertools.product(*[range(d + 1) for d in beta]))
-            full = LPoly([(tuple((v, n) for v, n in
-                                 zip(rep.quiver.vertices, nu) if n),
-                           grassmannian_euler(rep, nu)) for nu in every_nu])
+            every_nu = [dict(zip(rep.quiver.vertices, nu)) for nu in
+                        itertools.product(*[range(d + 1) for d in beta])]
+            full = LPoly([(tuple((v, n) for v, n in nu.items() if n),
+                           loose_bound_euler(rep, nu)) for nu in every_nu])
             assert gr_series(c, rep) == full, beta
             skipped += len(every_nu) - len(euler_series(rep))
     assert skipped > 0

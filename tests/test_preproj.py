@@ -257,7 +257,6 @@ def test_exceptional_fundamental_dimensions(label, i, dim):
     _assert_fundamental(label, i, dim)
 
 
-@pytest.mark.slow
 def test_e6_node4_fundamental_is_weyl_invariant():
     # No independent oracle confirms 3732 yet: it fits the restriction
     # V(w4) + V(w1 + w6) + 2 V(w2) + V(0) = 2925 + 650 + 2 * 78 + 1, and

@@ -213,7 +213,7 @@ def test_closed_vertex_without_room_counts_zero():
             assert _brute_force_count(rep, nu, p) == 0
 
 
-def test_free_walk_matches_pinned_counts():
+def test_free_walk_matches_brute_force():
     w = build_window(D4, 0, 6)
     reps = [_linear_a3([[1, 0], [0, 0]], [[1, 2], [-1, 4]]),
             _linear_a3([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
@@ -221,17 +221,19 @@ def test_free_walk_matches_pinned_counts():
             injective_module(w, 3, 0)]
     for rep in reps:
         order, arrows = _support_walk(rep)
+        verts = rep.quiver.vertices
         for p in (2, 3):
             mats = {a: [[x % p for x in row] for row in m]
                     for a, m in rep.mats.items()}
-            free = count_subrep_tuples(order, arrows, rep.dims, mats, None, p)
-            pinned = {}
-            for nu in itertools.product(*[range(rep.dims[v] + 1)
-                                          for v in order]):
-                n = grassmannian_count_fq(rep, dict(zip(order, nu)), p)
+            free = count_subrep_tuples(order, arrows, rep.dims, mats, p)
+            brute = {}
+            for nu in itertools.product(*[range(d + 1)
+                                          for d in rep.dim_vector()]):
+                n = _brute_force_count(rep, nu, p)
                 if n:
-                    pinned[tuple((v, k) for v, k in zip(order, nu) if k)] = n
-            assert free == pinned, (rep.dim_vector(), p)
+                    dims = dict(zip(verts, nu))
+                    brute[tuple((v, dims[v]) for v in order if dims[v])] = n
+            assert free == brute, (rep.dim_vector(), p)
 
 
 def test_count_split_sums_to_total_subrep_count():
@@ -254,6 +256,13 @@ def test_count_rejects_oversized_nu():
     m = indecomposable_rep(A2, (1, 1))
     with pytest.raises(InvalidInputError):
         grassmannian_count_fq(m, (2, 0), 3)
+    # negative entries too, and grassmannian_euler shares the check
+    m = indecomposable_rep(D4, (1, 1, 2, 1))
+    for nu in ((2, 0, 0, 0), (-1, 0, 0, 0), {3: 3}, {3: -1}):
+        with pytest.raises(InvalidInputError):
+            grassmannian_count_fq(m, nu, 2)
+        with pytest.raises(InvalidInputError):
+            grassmannian_euler(m, nu)
 
 
 def test_interpolate_at_one_recovers_a_known_polynomial():
@@ -262,6 +271,13 @@ def test_interpolate_at_one_recovers_a_known_polynomial():
     assert interpolate_at_one(points, 3) == 6
     assert interpolate_at_one(points, 4) == 6
     assert interpolate_at_one([(2, 7), (3, 7)], 0) == 7
+
+
+def test_interpolate_at_one_rejects_a_negative_degree_bound():
+    with pytest.raises(InvalidInputError):
+        interpolate_at_one([], -3)
+    with pytest.raises(InvalidInputError):
+        interpolate_at_one([(2, 1), (3, 1)], -1)
 
 
 def test_interpolate_at_one_needs_a_spare_point():
