@@ -392,36 +392,42 @@ def generic_decomposition(c: CartanData, d) -> List[tuple]:
 
 # --- quiver Grassmannians --------------------------------------------------
 
-def count_subrep_tuples(vertices_order, arrows, dims, mats, p) -> dict:
+def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
+                        nu=None) -> dict:
     """Point counts over F_p of subrepresentation Grassmannians, by nu.
 
     Counts the tuples of subspaces U_v of F_p^(d_v) closed under mats,
-    integer matrices read mod p, with every dimension free;
-    vertices_order must list arrow targets before their sources.
-    Returns {nu: count} over the nu with points, each nu a tuple of
-    (vertex, dim U_v) pairs along vertices_order with the zeros left out.
+    integer matrices read mod p; vertices_order must list arrow targets
+    before their sources.  nu is None, which leaves every dimension
+    free, or a dict that pins dim U_v = nu_v, 0 <= nu_v <= d_v (0 where
+    absent).  Returns {nu: count} over the nu with points, each nu a
+    tuple of (vertex, dim U_v) pairs along vertices_order with the
+    zeros left out.
 
     One side is counted in closed form: the sources or the sinks,
-    whichever has the larger sum of floor(d_v^2 / 4), the largest value
-    of nu_v (d_v - nu_v), ties going to the sources.  Neither side has
-    an arrow inside it, so the subspaces at the other vertices, walked
-    targets first, fix everything a closed vertex b sees: W_b, the span
-    of the images of the arrows into b, and P_b, the common preimage of
-    the subspaces at the targets of the arrows out of b.  A source has
-    W_b = 0 and a sink has P_b = M_b, so W_b lies in P_b, and the U_b of
-    dimension k between them number [dim P_b - dim W_b, k - dim W_b]_p
-    for dim W_b <= k <= dim P_b.  Every partial choice extends by zero
-    subspaces, so the walk meets no dead end: its work follows the
-    number of points.
+    whichever has the larger sum of nu_v (d_v - nu_v), or of its largest
+    value floor(d_v^2 / 4) when nu is free, ties going to the sources.
+    Neither side has an arrow inside it, so the subspaces at the other
+    vertices, walked targets first, fix everything a closed vertex b
+    sees: W_b, the span of the images of the arrows into b, and P_b, the
+    common preimage of the subspaces at the targets of the arrows out of
+    b.  A source has W_b = 0 and a sink has P_b = M_b, so W_b lies in
+    P_b, and the U_b of dimension k between them number
+    [dim P_b - dim W_b, k - dim W_b]_p for dim W_b <= k <= dim P_b.
+    Every partial choice extends by zero subspaces, so a free walk meets
+    no dead end: its work follows the number of points.
     """
     field = GF(p)
+    spans = {v: range(dims.get(v, 0) + 1) if nu is None
+             else (nu.get(v, 0),) for v in vertices_order}
     heads = {t for (_, t) in arrows}
     tails = {s for (s, _) in arrows}
     sources = [v for v in vertices_order if v not in heads]
     sinks = [v for v in vertices_order if v not in tails]
 
     def degree(side):
-        return sum(dims.get(v, 0) ** 2 // 4 for v in side)
+        return sum(max(k * (dims.get(v, 0) - k) for k in spans[v])
+                   for v in side)
 
     closed = sources if degree(sources) >= degree(sinks) else sinks
     shut = set(closed)
@@ -453,7 +459,7 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p) -> dict:
                                      else 0)
             choices.append([(k, linalg.gaussian_binomial(high - low, k - low,
                                                          p))
-                            for k in range(low, high + 1)])
+                            for k in spans[b] if low <= k <= high])
         for pick in product(*choices):
             total = 1
             for b, (k, n) in zip(closed, pick):
@@ -471,7 +477,7 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p) -> dict:
         forms = constraint(v, anns)
         allowed = (linalg.nullspace(forms, dv, field) if forms
                    else linalg.identity(dv))
-        for k in range(len(allowed) + 1):
+        for k in spans[v]:
             combo[index[v]] = k
             for sub in linalg.subspaces_of(allowed, k, field):
                 chosen[v] = sub
@@ -513,13 +519,14 @@ def _reduction(M: QuiverRep, p: int) -> QuiverRep:
     return _memoized(M, ("mod", p), lambda: M.reduce_mod(p))
 
 
-def _points(M: QuiverRep, p: int) -> dict:
-    """{nu: point count over F_p}, from one free walk of M mod p."""
+def _points(M: QuiverRep, p: int, nu=None) -> dict:
+    """{nu: point count over F_p}: one walk of M mod p, free or at nu."""
     def make():
         rep = _reduction(M, p)
         order, arrows = _support_walk(M)
-        return count_subrep_tuples(order, arrows, rep.dims, rep.mats, p)
-    return _memoized(M, ("points", p), make)
+        return count_subrep_tuples(order, arrows, rep.dims, rep.mats, p,
+                                   None if nu is None else dict(nu))
+    return _memoized(M, ("points", p, nu), make)
 
 
 def _nu_key(M: QuiverRep, nu) -> tuple:
@@ -537,7 +544,7 @@ def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
     key = _nu_key(M, nu)
     if M.field not in (None, p):
         raise InvalidInputError("representation is over a different prime")
-    return _points(M, p).get(key, 0)
+    return _points(M, p, key).get(key, 0)
 
 
 def _first_good_primes(M: QuiverRep, count: int) -> List[int]:
@@ -611,11 +618,12 @@ def _inverse_vandermonde(xs: tuple):
 def grassmannian_euler(M: QuiverRep, nu) -> int:
     """Euler characteristic of the subrepresentation Grassmannian at nu.
 
-    Read off euler_series, so every counting polynomial of M must have
-    nonnegative coefficients, as for both routes' modules and for every
-    indecomposable of a Dynkin quiver (all that `rep euler` builds).
+    Fitted like euler_series, from walks pinned to nu, so the counting
+    polynomial at nu must have nonnegative coefficients, as for both
+    routes' modules and for every indecomposable of a Dynkin quiver (all
+    that `rep euler` builds).
     """
-    return euler_series(M).get(_nu_key(M, nu), 0)
+    return _euler_at(M, _nu_key(M, nu), pinned=True)
 
 
 def euler_series(M: QuiverRep) -> dict:
@@ -644,24 +652,35 @@ def euler_series(M: QuiverRep) -> dict:
       in q = t^2.
     Raises ConsistencyError on a misfit or a chi <= 0, which break that.
     """
+    return {nu: _euler_at(M, nu, pinned=False)
+            for nu in _points(M, _first_p(M))}
+
+
+def _first_p(M: QuiverRep) -> int:
     if M.field is not None:
         raise InvalidInputError("Euler characteristics need a rational model")
-    p1 = _first_good_primes(M, 1)[0]
-    series = {}
-    for nu, n in _points(M, p1).items():
-        bound, power = 0, p1
-        while power <= n:
-            bound, power = bound + 1, power * p1
-        bound = min(bound, sum(k * (M.dims[v] - k) for v, k in nu))
-        chi = interpolate_at_one([(p, _points(M, p).get(nu, 0))
-                                  for p in _first_good_primes(M, bound + 2)],
-                                 bound)
-        if chi <= 0:
-            raise ConsistencyError(
-                f"Euler characteristic {chi} at {nu}, which has points over "
-                f"F_{p1}; the counting polynomial is not positive")
-        series[nu] = chi
-    return series
+    return _first_good_primes(M, 1)[0]
+
+
+def _euler_at(M: QuiverRep, nu: tuple, pinned: bool) -> int:
+    """chi at the nu key nu, fitted as in euler_series."""
+    walk = nu if pinned else None
+    p1 = _first_p(M)
+    n = _points(M, p1, walk).get(nu, 0)
+    if not n:
+        return 0
+    bound, power = 0, p1
+    while power <= n:
+        bound, power = bound + 1, power * p1
+    bound = min(bound, sum(k * (M.dims[v] - k) for v, k in nu))
+    chi = interpolate_at_one([(p, _points(M, p, walk).get(nu, 0))
+                              for p in _first_good_primes(M, bound + 2)],
+                             bound)
+    if chi <= 0:
+        raise ConsistencyError(
+            f"Euler characteristic {chi} at {nu}, which has points over "
+            f"F_{p1}; the counting polynomial is not positive")
+    return chi
 
 
 def reflect_i1(c: CartanData, beta) -> tuple:

@@ -5,18 +5,24 @@ nu_s <= nu_t + dim ker M_(s->t) on each arrow, with the loose degree
 bound sum_v nu_v (d_v - nu_v) and so one prime per unit of it, and
 keeps the nonzero answers; euler_series must find exactly those nu,
 with the same Euler characteristics, from one walk at the first good
-prime and degree bounds capped by its counts.
+prime and degree bounds capped by its counts.  The oracle reads the
+same free walks, so it first checks them, at the first two good primes,
+against direct_counts, which shares no code with count_subrep_tuples.
 """
+
+from collections import Counter
 
 import pytest
 
-from qloop import quiverrep
+from qloop import linalg, quiverrep
 from qloop.cartan import CartanData
 from qloop.errors import ConsistencyError
+from qloop.linalg import GF
 from qloop.preproj import build_window, injective_module
-from qloop.quiverrep import (_first_good_primes, _support_walk, arrow_ranks,
-                             euler_series, grassmannian_count_fq,
-                             indecomposable_rep, interpolate_at_one)
+from qloop.quiverrep import (_first_good_primes, _nu_key, _points,
+                             _support_walk, arrow_ranks, euler_series,
+                             grassmannian_euler, indecomposable_rep,
+                             interpolate_at_one)
 
 SMALL = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
 
@@ -51,15 +57,48 @@ def _kernel_bound_sweep(M):
     return walk(0)
 
 
+def direct_counts(M, p):
+    """{nu: points of Gr_nu(M) over F_p}, one subspace tuple at a time.
+
+    Walks the support targets first and picks each U_v among all the
+    subspaces of the preimage of the U_t already picked at its targets;
+    no vertex is counted in closed form.
+    """
+    field = GF(p)
+    order, arrows = _support_walk(M)
+    mats = {a: [[x % p for x in row] for row in M.mats[a]] for a in arrows}
+    counts = Counter()
+
+    def walk(idx, anns, nu):
+        if idx == len(order):
+            counts[tuple((v, k) for v, k in zip(order, nu) if k)] += 1
+            return
+        v = order[idx]
+        forms = [row for (s, t) in arrows if s == v
+                 for row in linalg.mat_mul(anns[t], mats[(s, t)], field)]
+        room = (linalg.nullspace(forms, M.dims[v], field) if forms
+                else linalg.identity(M.dims[v]))
+        for k in range(len(room) + 1):
+            for sub in linalg.subspaces_of(room, k, field):
+                ann = linalg.annihilator(sub, M.dims[v], field)
+                walk(idx + 1, {**anns, v: ann}, nu + (k,))
+
+    walk(0, {}, ())
+    return dict(counts)
+
+
 def loose_bound_euler(M, nu):
     """chi at the dict nu, fitted with the degree bound sum nu (d - nu)."""
     bound = sum(n * (M.dims[v] - n) for v, n in nu.items())
-    return interpolate_at_one([(p, grassmannian_count_fq(M, nu, p))
+    key = _nu_key(M, nu)
+    return interpolate_at_one([(p, _points(M, p).get(key, 0))
                                for p in _first_good_primes(M, bound + 2)],
                               bound)
 
 
 def _swept_series(M):
+    for p in _first_good_primes(M, 2):
+        assert _points(M, p) == direct_counts(M, p), p
     series = {}
     for nu in _kernel_bound_sweep(M):
         chi = loose_bound_euler(M, nu)
@@ -101,3 +140,13 @@ def test_euler_series_rejects_a_walked_nu_without_positive_chi(monkeypatch):
                         lambda points, degree_bound: 0)
     with pytest.raises(ConsistencyError, match="not positive"):
         euler_series(rep)
+
+
+def test_grassmannian_euler_matches_the_series_at_every_nu():
+    c = CartanData.from_label("D4")
+    reps = [indecomposable_rep(c, beta) for beta in c.positive_roots()]
+    for rep in reps + [_fundamental_injective(c, 3)]:
+        series = euler_series(rep)
+        for nu in _kernel_bound_sweep(rep):
+            assert (grassmannian_euler(rep, nu)
+                    == series.get(tuple(nu.items()), 0)), nu

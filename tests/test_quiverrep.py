@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qloop import linalg
+from qloop import linalg, quiverrep
 from qloop.cartan import CartanData
 from qloop.errors import ConsistencyError, InvalidInputError
 from qloop.linalg import GF
@@ -370,3 +370,26 @@ def test_euler_reduces_each_prime_once(monkeypatch):
     second = [grassmannian_euler(m, nu) for nu in ((1, 0), (1, 1), (2, 1))]
     assert first == second == [1, 2, 1]
     assert len(calls) == len(set(calls))
+
+
+def test_grassmannian_euler_walks_only_its_nu(monkeypatch):
+    walks = []
+    walk = quiverrep.count_subrep_tuples
+
+    def recorded(order, arrows, dims, mats, p, nu=None):
+        counts = walk(order, arrows, dims, mats, p, nu)
+        walks.append((nu, counts))
+        return counts
+
+    monkeypatch.setattr(quiverrep, "count_subrep_tuples", recorded)
+    # a fresh copy, so that no walk is memoized yet
+    m = indecomposable_rep(D4, (1, 1, 2, 1))
+    m = QuiverRep(m.quiver, m.dims, m.mats)
+    assert grassmannian_euler(m, (0, 0, 1, 0)) == 2
+    assert walks
+    assert all(nu == {3: 1} and list(counts) == [((3, 1),)]
+               for nu, counts in walks)
+    # no points over the first good prime: one walk, and chi = 0
+    del walks[:]
+    assert grassmannian_euler(m, (1, 0, 0, 0)) == 0
+    assert walks == [({1: 1}, {})]
