@@ -17,9 +17,8 @@ from .cartan import CartanData
 from .engine import KRLabel
 from .errors import (CapExceededError, ConsistencyError, InvalidInputError,
                      QloopError, SingularityError)
-from .lpoly import LPoly
 from .ymono import (YMonomial, YPolynomial, poly_to_json, render_latex,
-                    render_text)
+                    render_text, render_vpoly_text, vpoly_to_json)
 
 
 def _rational(text: str) -> Fraction:
@@ -53,28 +52,11 @@ def _emit_poly(p: YPolynomial, fmt: str):
         print(render_text(p))
 
 
-def _vpoly_json(p: LPoly) -> dict:
-    return {"terms": [{"v": [[k, e] for k, e in m], "c": c}
-                      for m, c in p.items()]}
-
-
-def _vpoly_text(p: LPoly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for m, c in p.items():
-        if not m:
-            parts.append(str(c))
-            continue
-        body = "*".join(f"v{k}" + (f"^{e}" if e != 1 else "") for k, e in m)
-        parts.append(body if c == 1 else f"{c}*{body}")
-    return " + ".join(parts)
-
-
 def _report_exit(report, fmt: str) -> int:
     if fmt == "json":
         out = [{"case": e["case"], "pass": e["pass"],
-                "lhs": _vpoly_json(e["lhs"]), "rhs": _vpoly_json(e["rhs"])}
+                "lhs": vpoly_to_json(e["lhs"]),
+                "rhs": vpoly_to_json(e["rhs"])}
                for e in report]
         print(json.dumps(out))
     else:
@@ -82,8 +64,8 @@ def _report_exit(report, fmt: str) -> int:
             status = "pass" if e["pass"] else "FAIL"
             print(f"[{status}] {e['case']}")
             if not e["pass"]:
-                print(f"    lhs: {_vpoly_text(e['lhs'])}")
-                print(f"    rhs: {_vpoly_text(e['rhs'])}")
+                print(f"    lhs: {render_vpoly_text(e['lhs'])}")
+                print(f"    rhs: {render_vpoly_text(e['rhs'])}")
     return 0 if all(e["pass"] for e in report) else 1
 
 
@@ -229,8 +211,9 @@ def _run(args) -> int:
                 raise InvalidInputError("fpoly is a level-1 command")
             beta = _csv_ints(args.beta)
             fpoly = engine.cluster_fpoly(c, beta, cap)
-            print(json.dumps({"beta": list(beta), "F": _vpoly_json(fpoly)})
-                  if fmt == "json" else _vpoly_text(fpoly))
+            print(json.dumps({"beta": list(beta),
+                              "F": vpoly_to_json(fpoly)})
+                  if fmt == "json" else render_vpoly_text(fpoly))
             return 0
         if args.command == "classify":
             label = cluster.classify_finite_type(c, args.level, cap)
@@ -263,7 +246,7 @@ def _emit_graph(c, graph, fmt: str) -> int:
         fpoly, g = cluster.f_polynomial_and_gvector(graph.seed, cv)
         table[ident] = {
             "denominator": list(cv.dvector),
-            "F": _vpoly_json(fpoly.map_keys(lambda v: v[0])),
+            "F": vpoly_to_json(fpoly.map_keys(lambda v: v[0])),
             "g": list(g),
         }
     out = {

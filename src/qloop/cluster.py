@@ -1,18 +1,18 @@
 """Skew-symmetric cluster algebras with frozen variables.
 
 Seeds carry a sparse exchange matrix over labelled vertices and exact
-Laurent expansions of the mutable variables in the initial ones.  The
-level-ell initial seed glues the descending arrows of the repetition
-quiver to vertical translation arrows and freezes the bottom row.
-F-polynomials and g-vectors are read off by replaying mutation paths on
-a principal-coefficient copy of the seed.
+Laurent expansions of the mutable variables in the initial ones.  A
+cluster variable is identified by its expansion, and a cluster by its
+set of variables.  The level-ell initial seed glues the descending
+arrows of the repetition quiver to vertical translation arrows and
+freezes the bottom row.  F-polynomials and g-vectors are read off by
+replaying mutation paths on a principal-coefficient copy of the seed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Dict, Optional, Tuple
 
@@ -30,29 +30,23 @@ def ring_key(v) -> tuple:
 
 @dataclass(frozen=True)
 class Seed:
-    """Exchange matrix plus tracked variables; immutable."""
+    """Exchange matrix plus tracked variables; never edited in place."""
 
     mutable: tuple
     frozen: tuple
-    b: tuple        # sparse ((v, w), entry) pairs, at least one endpoint mutable
-    variables: tuple  # ((vertex, LPoly), ...) for mutable vertices
-
-    def b_dict(self) -> dict:
-        return dict(self.b)
-
-    @cached_property
-    def _var_map(self) -> dict:
-        return dict(self.variables)
+    b: dict          # sparse {(v, w): entry}, at least one endpoint mutable
+    variables: dict  # {vertex: LPoly} for mutable vertices, in seed order
 
     def var(self, v) -> LPoly:
-        if v in self._var_map:
-            return self._var_map[v]
+        p = self.variables.get(v)
+        if p is not None:
+            return p
         if v in self.frozen:
             return LPoly.var(ring_key(v))
         raise InvalidInputError(f"unknown vertex {v}")
 
     def cluster_key(self) -> frozenset:
-        return frozenset(p.canonical() for _, p in self.variables)
+        return frozenset(self.variables.values())
 
 
 def _seed_from_quiver(mutable, frozen, arrows) -> Seed:
@@ -67,9 +61,8 @@ def _seed_from_quiver(mutable, frozen, arrows) -> Seed:
         b[(w, u)] = b.get((w, u), 0) + 1
         b[(u, w)] = b.get((u, w), 0) - 1
     b = {k: v for k, v in b.items() if v}
-    variables = tuple((v, LPoly.var(("z",) + v)) for v in mutable)
-    return Seed(mutable, frozen, tuple(sorted(b.items(), key=repr)),
-                variables)
+    variables = {v: LPoly.var(("z",) + v) for v in mutable}
+    return Seed(mutable, frozen, b, variables)
 
 
 def gamma_seed(c: CartanData, ell: int) -> Seed:
@@ -100,7 +93,7 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
     """Fomin-Zelevinsky mutation at a mutable vertex."""
     if k not in seed.mutable:
         raise InvalidInputError(f"cannot mutate at non-mutable vertex {k}")
-    b = seed.b_dict()
+    b = seed.b
     pos = LPoly.one()
     neg = LPoly.one()
     for v in seed.mutable + seed.frozen:
@@ -123,10 +116,9 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
                     newb[(v, w)] = val
                 else:
                     del newb[(v, w)]
-    variables = tuple((v, new_var if v == k else p)
-                      for v, p in seed.variables)
-    return Seed(seed.mutable, seed.frozen,
-                tuple(sorted(newb.items(), key=repr)), variables)
+    variables = dict(seed.variables)
+    variables[k] = new_var
+    return Seed(seed.mutable, seed.frozen, newb, variables)
 
 
 @dataclass
@@ -169,56 +161,51 @@ def _dvector(seed: Seed, expansion: LPoly) -> tuple:
 def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     """Breadth-first closure of the seed under mutation.
 
-    Seeds are identified with their unordered sets of variable
-    expansions; raises CapExceededError past the cap.
+    Each variable is named when the search first meets its expansion,
+    and each cluster is keyed by the frozenset of its variables' names;
+    raises CapExceededError past the cap.
     """
-    start_key = seed.cluster_key()
-    seen = {start_key: (seed, ())}
-    queue = deque([(seed, ())])
-    canon_to_ident: Dict[tuple, str] = {}
+    idents: Dict[LPoly, str] = {}
     variables: Dict[str, ClusterVariable] = {}
-    cluster_members: Dict[frozenset, tuple] = {}
+
+    def name(poly: LPoly, path: tuple, v: Vertex) -> str:
+        ident = idents.get(poly)
+        if ident is None:
+            ident = idents[poly] = f"v{len(idents):03d}"
+            variables[ident] = ClusterVariable(
+                ident, poly, _dvector(seed, poly), path, v)
+        return ident
+
+    names = tuple(name(p, (), v) for v, p in seed.variables.items())
+    seen = {frozenset(names)}
     neighbor_sets: Dict[frozenset, set] = {}
-
-    def register(s: Seed, path: tuple):
-        idents = []
-        for v, poly in s.variables:
-            canon = poly.canonical()
-            if canon not in canon_to_ident:
-                ident = f"v{len(canon_to_ident):03d}"
-                canon_to_ident[canon] = ident
-                variables[ident] = ClusterVariable(
-                    ident, poly, _dvector(seed, poly), path, v)
-            else:
-                ident = canon_to_ident[canon]
-                cv = variables[ident]
-                if cv.alt_path is None and (path, v) != (cv.path, cv.vertex):
-                    cv.alt_path, cv.alt_vertex = path, v
-            idents.append(canon_to_ident[canon])
-        key = frozenset(idents)
-        cluster_members[s.cluster_key()] = key
-        return key
-
-    register(seed, ())
+    queue = deque([(seed, (), names)])
     while queue:
-        current, path = queue.popleft()
-        ckey = current.cluster_key()
-        for k in current.mutable:
+        current, path, names = queue.popleft()
+        ckey = frozenset(names)
+        for i, k in enumerate(current.mutable):
             nxt = mutate(current, k)
-            nkey = nxt.cluster_key()
+            npath = path + (k,)
+            # only the variable at k is new, and a variable never met
+            # before makes a cluster never met before
+            nnames = (names[:i] + (name(nxt.variables[k], npath, k),)
+                      + names[i + 1:])
+            nkey = frozenset(nnames)
             neighbor_sets.setdefault(ckey, set()).add(nkey)
             if nkey not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(
                         f"exchange graph exceeded cap {cap}; "
                         "infinite or very large type")
-                seen[nkey] = (nxt, path + (k,))
-                register(nxt, path + (k,))
-                queue.append((nxt, path + (k,)))
-    clusters = tuple(sorted(cluster_members.values(),
-                            key=lambda fs: sorted(fs)))
-    adjacency = {cluster_members[ck]: len(ns)
-                 for ck, ns in neighbor_sets.items()}
+                seen.add(nkey)
+                for v, ident in zip(nxt.variables, nnames):
+                    cv = variables[ident]
+                    if (cv.alt_path is None
+                            and (npath, v) != (cv.path, cv.vertex)):
+                        cv.alt_path, cv.alt_vertex = npath, v
+                queue.append((nxt, npath, nnames))
+    clusters = tuple(sorted(seen, key=sorted))
+    adjacency = {ck: len(ns) for ck, ns in neighbor_sets.items()}
     return ExchangeGraph(seed, clusters, variables, adjacency)
 
 
@@ -226,16 +213,15 @@ def _principal_seed(seed: Seed) -> Seed:
     """Same mutable exchange matrix, principal coefficients, fresh variables."""
     b = {}
     mset = set(seed.mutable)
-    for (v, w), e in seed.b:
+    for (v, w), e in seed.b.items():
         if v in mset and w in mset:
             b[(v, w)] = e
     for v in seed.mutable:
         b[(("y",) + v, v)] = 1
         b[(v, ("y",) + v)] = -1
     frozen = tuple(("y",) + v for v in seed.mutable)
-    variables = tuple((v, LPoly.var(("z",) + v)) for v in seed.mutable)
-    return Seed(seed.mutable, frozen, tuple(sorted(b.items(), key=repr)),
-                variables)
+    variables = {v: LPoly.var(("z",) + v) for v in seed.mutable}
+    return Seed(seed.mutable, frozen, b, variables)
 
 
 def f_polynomial_and_gvector(seed0: Seed, cv: ClusterVariable):
@@ -266,7 +252,7 @@ def f_polynomial_and_gvector(seed0: Seed, cv: ClusterVariable):
 def _gvector(seed0: Seed, expansion: LPoly) -> tuple:
     mutable = seed0.mutable
     index = {("z",) + v: i for i, v in enumerate(mutable)}
-    b = seed0.b_dict()
+    b = seed0.b
     ydeg = {("y",) + v: [-b.get((w, v), 0) for w in mutable]
             for v in mutable}
     degree = None

@@ -174,10 +174,17 @@ def _node_dvector(c: CartanData, graph: cluster.ExchangeGraph, coords) -> tuple:
 
 
 def cluster_fpoly(c: CartanData, beta, cap: int = 100000) -> LPoly:
-    """F-polynomial of the variable with denominator beta, keyed by node."""
+    """F-polynomial of the variable with denominator beta, keyed by node.
+
+    beta is a positive root or minus a simple root, one entry per node.
+    """
+    beta = tuple(beta)
+    if not (c.is_positive_root(beta)
+            or tuple(-x for x in beta) in map(c.simple_root, c.nodes())):
+        raise InvalidInputError(f"{beta} is neither a positive root nor "
+                                f"minus a simple root of {c.type_label}")
     graph = level1_graph(c, cap)
-    cv = cluster.variable_by_denominator(
-        graph, _node_dvector(c, graph, tuple(beta)))
+    cv = cluster.variable_by_denominator(graph, _node_dvector(c, graph, beta))
     fpoly, _ = cluster.f_polynomial_and_gvector(graph.seed, cv)
     return fpoly.map_keys(lambda v: v[0])
 

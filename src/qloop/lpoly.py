@@ -176,7 +176,8 @@ class LPoly:
 
     `terms` maps packed ints to nonzero coefficients; the constructor,
     `var`, `monomial` and `coeff` take tuple monomials, and `items` and
-    `canonical` give them back sorted.
+    `canonical` give them back sorted.  Equality and hashing read the
+    packed terms; `canonical` is only for sorting and output.
     """
 
     __slots__ = ("terms", "_bound", "_canon")
@@ -231,7 +232,9 @@ class LPoly:
         return isinstance(other, LPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        # equal polynomials have equal packed terms: the slot table is
+        # process-wide, so a monomial has exactly one packed int
+        return hash(frozenset(self.terms.items()))
 
     def canonical(self) -> tuple:
         """Deterministic serialization: terms sorted by tuple monomial."""

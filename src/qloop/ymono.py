@@ -17,7 +17,8 @@ __all__ = [
     "CartanData", "YMonomial", "YPolynomial", "WeightVector",
     "a_monomial", "a_monomial_exps", "is_dominant", "a_factorize",
     "weight", "dominant_terms", "truncate_c1", "poly_to_json",
-    "poly_from_json", "render_text", "render_latex",
+    "poly_from_json", "render_text", "render_latex", "vpoly_to_json",
+    "render_vpoly_text",
 ]
 
 
@@ -337,39 +338,45 @@ def poly_from_json(data: dict) -> YPolynomial:
     return YPolynomial(terms)
 
 
-def render_mono_text(m: YMonomial) -> str:
-    if m.is_one():
-        return "1"
+def vpoly_to_json(p: lpoly.LPoly) -> dict:
+    """Canonical form {"terms":[{"v":[[k,e],...],"c":coeff},...]} of an
+    LPoly, such as an F-polynomial keyed by node."""
+    return {"terms": [{"v": [[k, e] for k, e in m], "c": c}
+                      for m, c in p.items()]}
+
+
+def _join_terms(terms, factor, mul: str, times: str) -> str:
+    """Sum of (factors, coeff) terms; factor renders one (key, exp)."""
     parts = []
-    for (i, s), e in m.key:
-        parts.append(f"Y[{i},{s}]" + (f"^{e}" if e != 1 else ""))
-    return "*".join(parts)
+    for factors, c in terms:
+        body = mul.join(factor(k, e) for k, e in factors)
+        parts.append(str(c) if not body else
+                     body if c == 1 else f"{c}{times}{body}")
+    return " + ".join(parts) or "0"
+
+
+def _y_text(k, e: int) -> str:
+    return f"Y[{k[0]},{k[1]}]" + (f"^{e}" if e != 1 else "")
+
+
+def render_mono_text(m: YMonomial) -> str:
+    return "*".join(_y_text(k, e) for k, e in m.key) or "1"
 
 
 def render_text(p: YPolynomial) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for m, c in p.terms():
-        if m.is_one():
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(render_mono_text(m))
-        else:
-            parts.append(f"{c}*{render_mono_text(m)}")
-    return " + ".join(parts)
+    return _join_terms(((m.key, c) for m, c in p.terms()), _y_text, "*", "*")
 
 
 def render_latex(p: YPolynomial) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for m, c in p.terms():
-        if m.is_one():
-            parts.append(str(c))
-            continue
-        body = "".join(
-            f"Y_{{{i},q^{{{s}}}}}" + (f"^{{{e}}}" if e != 1 else "")
-            for (i, s), e in m.key)
-        parts.append(body if c == 1 else f"{c}\\," + body)
-    return " + ".join(parts)
+    return _join_terms(
+        ((m.key, c) for m, c in p.terms()),
+        lambda k, e: (f"Y_{{{k[0]},q^{{{k[1]}}}}}"
+                      + (f"^{{{e}}}" if e != 1 else "")),
+        "", "\\,")
+
+
+def render_vpoly_text(p: lpoly.LPoly) -> str:
+    """Text form of an LPoly keyed by node, with variables v<node>."""
+    return _join_terms(p.items(),
+                       lambda k, e: f"v{k}" + (f"^{e}" if e != 1 else ""),
+                       "*", "*")

@@ -101,6 +101,19 @@ def test_cluster_commands(capsys):
     assert code == 0 and out.strip() == "D4"
 
 
+def test_cluster_fpoly_rejects_bad_denominators(capsys):
+    # too few entries, too many, and full-length vectors that are
+    # neither a positive root nor minus a simple root
+    for beta in ("1", "1,1,7", "0,0", "2,2", "-1,-1", "-1,1"):
+        code, out, err = run(capsys, "cluster", "fpoly", "--type", "A2",
+                             f"--beta={beta}")
+        assert code == 2 and out == "" and "error" in err, beta
+    for beta, text in (("-1,0", "1"), ("0,1", "1 + v2")):
+        code, out, _ = run(capsys, "cluster", "fpoly", "--type", "A2",
+                           f"--beta={beta}")
+        assert code == 0 and out.strip() == text, beta
+
+
 def test_verify_commands(capsys):
     code, out, _ = run(capsys, "verify", "l1", "--type", "A2",
                        "--format", "json")

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_gamma_seed_a3_level2_matches_the_figure():
     s = gamma_seed(A3, 2)
     assert len(s.mutable) + len(s.frozen) == 9
     assert set(s.frozen) == {(1, 0), (3, 0), (2, 1)}
-    b = s.b_dict()
+    b = s.b
     # descending arrow (2,3) -> (1,2) and vertical arrow (1,2) -> (1,4)
     assert b[((1, 2), (2, 3))] == 1
     assert b[((1, 4), (1, 2))] == 1
@@ -32,13 +33,13 @@ def test_gamma_seed_a3_level2_matches_the_figure():
 def test_gamma_seed_level0_is_frozen_only():
     s = gamma_seed(A3, 0)
     assert s.mutable == () and len(s.frozen) == 3
-    assert s.b == ()
+    assert s.b == {}
 
 
 def test_gamma_seed_rank_one_is_a_path():
     s = gamma_seed(A1, 3)
     assert len(s.mutable) == 3 and len(s.frozen) == 1
-    b = s.b_dict()
+    b = s.b
     assert b[((1, 2), (1, 0))] == 1
     assert b[((1, 4), (1, 2))] == 1
     assert b[((1, 6), (1, 4))] == 1
@@ -72,14 +73,14 @@ def test_skew_symmetry_preserved():
     rng = random.Random(13)
     for _ in range(8):
         s = mutate(s, rng.choice(s.mutable))
-        b = s.b_dict()
+        b = s.b
         for (v, w), e in b.items():
             assert b.get((w, v), 0) == -e
 
 
 def _mutated_b_all_pairs(seed, k):
     """Fomin-Zelevinsky matrix mutation over every vertex pair."""
-    b = seed.b_dict()
+    b = seed.b
     out = {}
     for v in seed.mutable + seed.frozen:
         for w in seed.mutable + seed.frozen:
@@ -101,9 +102,10 @@ def test_mutation_matches_the_all_pairs_formula():
     for s in (gamma_seed(A3, 2), _principal_seed(gamma_seed(D4, 1))):
         for _ in range(12):
             k = rng.choice(s.mutable)
+            b, variables = dict(s.b), dict(s.variables)
             nxt = mutate(s, k)
-            assert nxt.b_dict() == _mutated_b_all_pairs(s, k)
-            assert list(nxt.b) == sorted(nxt.b, key=repr)
+            assert nxt.b == _mutated_b_all_pairs(s, k)
+            assert (s.b, s.variables) == (b, variables)
             s = nxt
 
 
@@ -119,6 +121,67 @@ def test_enumeration_counts(label, level, clusters, variables):
     graph = enumerate_exchange_graph(gamma_seed(c, level))
     assert graph.n_clusters() == clusters
     assert graph.n_variables() == variables
+
+
+def _oracle_exchange_graph(seed):
+    """Breadth-first closure with variables keyed by canonical form and
+    seeds by cluster_key(), naming variables as each new seed is met.
+
+    Returns [(ident, expansion, path, vertex, alt_path, alt_vertex)] in
+    ident order, the sorted clusters and the adjacency counts.
+    """
+    canon_to_ident = {}
+    found = {}
+    cluster_members = {}
+    neighbor_sets = {}
+
+    def register(s, path):
+        idents = []
+        for v, poly in s.variables.items():
+            canon = poly.canonical()
+            if canon not in canon_to_ident:
+                ident = canon_to_ident[canon] = f"v{len(canon_to_ident):03d}"
+                found[ident] = [poly, path, v, None, None]
+            else:
+                row = found[canon_to_ident[canon]]
+                if row[3] is None and (path, v) != (row[1], row[2]):
+                    row[3:] = [path, v]
+            idents.append(canon_to_ident[canon])
+        cluster_members[s.cluster_key()] = frozenset(idents)
+
+    register(seed, ())
+    seen = {seed.cluster_key()}
+    queue = deque([(seed, ())])
+    while queue:
+        current, path = queue.popleft()
+        ckey = current.cluster_key()
+        for k in current.mutable:
+            nxt = mutate(current, k)
+            nkey = nxt.cluster_key()
+            neighbor_sets.setdefault(ckey, set()).add(nkey)
+            if nkey not in seen:
+                seen.add(nkey)
+                register(nxt, path + (k,))
+                queue.append((nxt, path + (k,)))
+    clusters = tuple(sorted(cluster_members.values(), key=sorted))
+    adjacency = {cluster_members[ck]: len(ns)
+                 for ck, ns in neighbor_sets.items()}
+    return [(i, *row) for i, row in found.items()], clusters, adjacency
+
+
+@pytest.mark.parametrize("label,level,clusters", [
+    ("A3", 1, 14), ("A2", 2, 50), ("D4", 1, 50), ("A3", 2, 833),
+])
+def test_enumeration_matches_the_canonical_form_oracle(label, level,
+                                                       clusters):
+    seed = gamma_seed(CartanData.from_label(label), level)
+    graph = enumerate_exchange_graph(seed)
+    found, oracle_clusters, oracle_adjacency = _oracle_exchange_graph(seed)
+    assert [(cv.ident, cv.expansion, cv.path, cv.vertex, cv.alt_path,
+             cv.alt_vertex) for cv in graph.variables.values()] == found
+    assert graph.clusters == oracle_clusters
+    assert len(graph.clusters) == clusters
+    assert graph.adjacency == oracle_adjacency
 
 
 def test_enumeration_cluster_shape_in_finite_type():

@@ -231,7 +231,23 @@ def test_min_exponent_and_subs():
 
 
 def test_canonical_is_deterministic():
-    p = LPoly.var("x") + 3 * LPoly.var("y")
-    q = 3 * LPoly.var("y") + LPoly.var("x")
+    x, y = LPoly.var("x"), LPoly.var("y")
+    p = x + 3 * y
+    q = 3 * y + x
     assert p.canonical() == q.canonical()
     assert hash(p) == hash(q)
+    # equal polynomials built by different routes, with their packed
+    # terms inserted in different orders, are one dict key
+    target = x * x + x * y
+    routes = [
+        target,
+        x * y + x * x,                                  # term order
+        (x * x + x * y + y) - y,                        # cancellation
+        (target * (x + y + 1)).exact_div(x + y + 1),    # long division
+        (target * (1 + y)).exact_div(1 + y),
+        target.map_keys(lambda k: ("t", k)).map_keys(lambda k: k[1]),
+    ]
+    for r in routes:
+        assert r == target and hash(r) == hash(target)
+    keys = {r: None for r in routes}
+    assert len(keys) == 1 and target + 1 not in keys
