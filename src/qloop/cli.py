@@ -258,9 +258,23 @@ def _emit_graph(c, graph, fmt: str) -> int:
     return 0
 
 
+def _join_list_values(argv) -> list:
+    """Join `--beta X` and `--nu X` into `--beta=X`, so that a list that
+    starts with a minus sign reaches the value checks instead of being
+    read as a flag."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--beta", "--nu"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return _run(args)
     except (InvalidInputError, SingularityError) as exc:

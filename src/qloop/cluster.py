@@ -1,18 +1,23 @@
 """Skew-symmetric cluster algebras with frozen variables.
 
 Seeds carry a sparse exchange matrix over labelled vertices and exact
-Laurent expansions of the mutable variables in the initial ones.  A
-cluster variable is identified by its expansion, and a cluster by its
-set of variables.  The level-ell initial seed glues the descending
-arrows of the repetition quiver to vertical translation arrows and
-freezes the bottom row.  F-polynomials and g-vectors are read off by
-replaying mutation paths on a principal-coefficient copy of the seed.
+Laurent expansions of the mutable variables in the initial ones.  The
+exchange graph is enumerated on integers alone: each seed there is its
+mutable exchange matrix, C-matrix and G-matrix, a cluster variable is
+identified by its g-vector, and a cluster by its set of variables.  A
+variable's Laurent expansion and denominator vector are built only
+when read, by replaying its mutation path.  The level-ell initial seed
+glues the descending arrows of the repetition quiver to vertical
+translation arrows and freezes the bottom row.  F-polynomials are read
+off by replaying mutation paths on a principal-coefficient copy of the
+seed, and the g-vector read there must equal the enumerated one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Dict, Optional, Tuple
 
@@ -123,15 +128,31 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
 
 @dataclass
 class ClusterVariable:
-    """A non-frozen cluster variable found during enumeration."""
+    """A non-frozen cluster variable found during enumeration.
+
+    The expansion in the initial variables and the denominator vector
+    are built on first read, by replaying the path from the seed.
+    """
 
     ident: str
-    expansion: LPoly
-    dvector: tuple          # over mutable initial vertices, seed order
+    gvector: tuple          # over mutable initial vertices, seed order
     path: tuple             # mutation path from the initial seed
     vertex: Vertex          # where the variable sits at the end of path
+    seed: Seed = field(repr=False, compare=False)
     alt_path: Optional[tuple] = None
     alt_vertex: Optional[Vertex] = None
+
+    @cached_property
+    def expansion(self) -> LPoly:
+        replay = self.seed
+        for k in self.path:
+            replay = mutate(replay, k)
+        return replay.var(self.vertex)
+
+    @cached_property
+    def dvector(self) -> tuple:
+        return tuple(-self.expansion.min_exponent(("z",) + v)
+                     for v in self.seed.mutable)
 
 
 @dataclass
@@ -149,61 +170,111 @@ class ExchangeGraph:
     def n_variables(self) -> int:
         return len(self.variables)
 
+    @cached_property
+    def _partners(self) -> dict:
+        partners = {ident: set() for ident in self.variables}
+        for cl in self.clusters:
+            for ident in cl:
+                partners[ident] |= cl
+        return partners
+
     def compatible(self, id1: str, id2: str) -> bool:
         """Two variables are compatible when some cluster holds both."""
-        return any(id1 in cl and id2 in cl for cl in self.clusters)
+        return id2 in self._partners.get(id1, ())
 
 
-def _dvector(seed: Seed, expansion: LPoly) -> tuple:
-    return tuple(-expansion.min_exponent(("z",) + v) for v in seed.mutable)
+def _mutate_rows(rows: tuple, rowk: tuple, k: int) -> tuple:
+    """Rows of an extended exchange matrix after mutation at column k.
+
+    rowk is row k of the mutable part; the entry at k flips sign, and
+    b_ij gains |b_ik| b_kj when b_ik and b_kj share a sign.
+    """
+    out = []
+    for row in rows:
+        e = row[k]
+        if e:
+            new = [x + abs(e) * y if e * y > 0 else x
+                   for x, y in zip(row, rowk)]
+            new[k] = -e
+            row = tuple(new)
+        out.append(row)
+    return tuple(out)
 
 
 def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     """Breadth-first closure of the seed under mutation.
 
-    Each variable is named when the search first meets its expansion,
-    and each cluster is keyed by the frozenset of its variables' names;
+    Each queued seed carries integers only: the mutable exchange matrix
+    B, the C-matrix (rows of the principal-coefficient block) and the
+    G-matrix (rows are the variables' g-vectors).  Mutation at k gives
+    g'_k = -g_k + sum_i [b_ik]_+ g_i - sum_j [c_jk]_+ b0_j, with b0_j
+    column j of the initial B (Fomin-Zelevinsky, Cluster algebras IV,
+    Prop. 6.6).  A g-vector determines its cluster variable in the
+    skew-symmetric case (Derksen-Weyman-Zelevinsky 2010), so each
+    variable is named when the search first meets its g-vector, and
+    each cluster is keyed by the frozenset of its variables' names;
     raises CapExceededError past the cap.
     """
-    idents: Dict[LPoly, str] = {}
+    mutable = seed.mutable
+    n = len(mutable)
+    b0 = tuple(tuple(seed.b.get((v, w), 0) for w in mutable) for v in mutable)
+    b0_cols = tuple(zip(*b0))
+    idents: Dict[tuple, str] = {}
     variables: Dict[str, ClusterVariable] = {}
 
-    def name(poly: LPoly, path: tuple, v: Vertex) -> str:
-        ident = idents.get(poly)
+    def name(g: tuple, path: tuple, v: Vertex) -> str:
+        ident = idents.get(g)
         if ident is None:
-            ident = idents[poly] = f"v{len(idents):03d}"
-            variables[ident] = ClusterVariable(
-                ident, poly, _dvector(seed, poly), path, v)
+            ident = idents[g] = f"v{len(idents):03d}"
+            variables[ident] = ClusterVariable(ident, g, path, v, seed)
         return ident
 
-    names = tuple(name(p, (), v) for v, p in seed.variables.items())
-    seen = {frozenset(names)}
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    names = tuple(name(g, (), v) for v, g in zip(mutable, unit))
+    # one key object per cluster: every neighbor set refers to it
+    ckey = frozenset(names)
+    seen = {ckey: ckey}
     neighbor_sets: Dict[frozenset, set] = {}
-    queue = deque([(seed, (), names)])
+    queue = deque([(b0, unit, unit, (), names, ckey)])
     while queue:
-        current, path, names = queue.popleft()
-        ckey = frozenset(names)
-        for i, k in enumerate(current.mutable):
-            nxt = mutate(current, k)
-            npath = path + (k,)
+        b, c, g, path, names, ckey = queue.popleft()
+        for k, vk in enumerate(mutable):
+            gk = [-x for x in g[k]]
+            for gi, row in zip(g, b):
+                e = row[k]
+                if e > 0:
+                    gk = [x + e * y for x, y in zip(gk, gi)]
+            for col, row in zip(b0_cols, c):
+                e = row[k]
+                if e > 0:
+                    gk = [x - e * y for x, y in zip(gk, col)]
+            gk = tuple(gk)
+            npath = path + (vk,)
             # only the variable at k is new, and a variable never met
             # before makes a cluster never met before
-            nnames = (names[:i] + (name(nxt.variables[k], npath, k),)
-                      + names[i + 1:])
+            nnames = names[:k] + (name(gk, npath, vk),) + names[k + 1:]
             nkey = frozenset(nnames)
-            neighbor_sets.setdefault(ckey, set()).add(nkey)
-            if nkey not in seen:
+            known = seen.get(nkey)
+            if known is not None:
+                nkey = known
+            else:
                 if len(seen) >= cap:
                     raise CapExceededError(
                         f"exchange graph exceeded cap {cap}; "
                         "infinite or very large type")
-                seen.add(nkey)
-                for v, ident in zip(nxt.variables, nnames):
+                seen[nkey] = nkey
+                for v, ident in zip(mutable, nnames):
                     cv = variables[ident]
                     if (cv.alt_path is None
                             and (npath, v) != (cv.path, cv.vertex)):
                         cv.alt_path, cv.alt_vertex = npath, v
-                queue.append((nxt, npath, nnames))
+                rowk = b[k]
+                nb = _mutate_rows(b, rowk, k)
+                nb = nb[:k] + (tuple(-x for x in rowk),) + nb[k + 1:]
+                queue.append((nb, _mutate_rows(c, rowk, k),
+                              g[:k] + (gk,) + g[k + 1:], npath, nnames,
+                              nkey))
+            neighbor_sets.setdefault(ckey, set()).add(nkey)
     clusters = tuple(sorted(seen, key=sorted))
     adjacency = {ck: len(ns) for ck, ns in neighbor_sets.items()}
     return ExchangeGraph(seed, clusters, variables, adjacency)
@@ -229,23 +300,21 @@ def f_polynomial_and_gvector(seed0: Seed, cv: ClusterVariable):
     coefficients at the initial seed.
 
     The F-polynomial comes back keyed by the mutable vertices; the
-    g-vector follows the order of seed0.mutable.
+    g-vector follows the order of seed0.mutable and must equal the
+    tropical cv.gvector.
     """
-    replay = seed0
-    for k in cv.path:
-        replay = mutate(replay, k)
-    if replay.var(cv.vertex) != cv.expansion:
-        raise InvalidInputError("variable is not reachable from this seed "
-                                "along its recorded path")
     princ = _principal_seed(seed0)
     for k in cv.path:
         princ = mutate(princ, k)
     x = princ.var(cv.vertex)
+    g = _gvector(seed0, x)
+    if g != cv.gvector:
+        raise InvalidInputError("variable is not reachable from this seed "
+                                "along its recorded path")
     fpoly = x.subs_one(lambda key: key[0] == "z").map_keys(lambda key: key[1:])
     if fpoly.const_term() != 1 or any(c <= 0 for _, c in fpoly.items()):
         raise ConsistencyError("F-polynomial lost positivity or its unit "
                                "constant term")
-    g = _gvector(seed0, x)
     return fpoly, g
 
 

@@ -68,10 +68,11 @@ def test_rep_commands(capsys):
     code, _, err = run(capsys, "rep", "euler", "--type", "A2",
                        "--beta", "1,1", "--nu", "0,1,0")
     assert code == 2
-    for nu in ("--nu=2,0,0,0", "--nu=-1,0,0,0"):
+    for nu in (("--nu=2,0,0,0",), ("--nu=-1,0,0,0",), ("--nu", "-1,0,0,0")):
         code, out, err = run(capsys, "rep", "euler", "--type", "D4",
-                             "--beta", "1,1,2,1", nu)
+                             "--beta", "1,1,2,1", *nu)
         assert code == 2 and out == "" and "error" in err, nu
+        assert "nu must lie between 0 and dim M" in err, nu
 
 
 def test_qchar_standard(capsys):
@@ -112,6 +113,19 @@ def test_cluster_fpoly_rejects_bad_denominators(capsys):
         code, out, _ = run(capsys, "cluster", "fpoly", "--type", "A2",
                            f"--beta={beta}")
         assert code == 0 and out.strip() == text, beta
+
+
+def test_list_values_may_start_with_a_minus_sign(capsys):
+    # `--beta X` reads like `--beta=X` even when X starts with a minus
+    for argv in (("--beta", "-1,0,0"), ("--beta=-1,0,0",)):
+        code, out, err = run(capsys, "cluster", "fpoly", "--type", "A3",
+                             *argv, "--format", "json")
+        assert code == 0 and err == "", argv
+        assert json.loads(out) == {"beta": [-1, 0, 0],
+                                   "F": {"terms": [{"v": [], "c": 1}]}}
+    code, out, err = run(capsys, "cluster", "fpoly", "--type", "A3",
+                         "--beta", "-1,1,0")
+    assert code == 2 and out == "" and "error" in err
 
 
 def test_verify_commands(capsys):

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from qloop.cartan import CartanData
-from qloop.cluster import (ClusterVariable, _principal_seed,
+from qloop.cluster import (ClusterVariable, _gvector, _principal_seed,
                            classify_finite_type,
                            enumerate_exchange_graph, f_polynomial_and_gvector,
                            gamma_seed, mutate, ring_key,
@@ -171,6 +171,7 @@ def _oracle_exchange_graph(seed):
 
 @pytest.mark.parametrize("label,level,clusters", [
     ("A3", 1, 14), ("A2", 2, 50), ("D4", 1, 50), ("A3", 2, 833),
+    ("E6", 1, 833), ("A2", 3, 833),
 ])
 def test_enumeration_matches_the_canonical_form_oracle(label, level,
                                                        clusters):
@@ -182,6 +183,31 @@ def test_enumeration_matches_the_canonical_form_oracle(label, level,
     assert graph.clusters == oracle_clusters
     assert len(graph.clusters) == clusters
     assert graph.adjacency == oracle_adjacency
+
+
+def test_gvectors_match_the_principal_expansions():
+    seed = gamma_seed(A3, 2)
+    graph = enumerate_exchange_graph(seed)
+    assert len(graph.variables) == 42
+    for cv in graph.variables.values():
+        princ = _principal_seed(seed)
+        for k in cv.path:
+            princ = mutate(princ, k)
+        assert _gvector(seed, princ.var(cv.vertex)) == cv.gvector
+
+
+def _compatible_by_scan(graph, id1, id2):
+    return any(id1 in cl and id2 in cl for cl in graph.clusters)
+
+
+@pytest.mark.parametrize("c,level", [(A3, 1), (D4, 1), (A2, 2)])
+def test_compatible_matches_the_cluster_scan(c, level):
+    graph = enumerate_exchange_graph(gamma_seed(c, level))
+    idents = list(graph.variables) + ["nowhere"]
+    for id1 in idents:
+        for id2 in idents:
+            assert (graph.compatible(id1, id2)
+                    == _compatible_by_scan(graph, id1, id2)), (id1, id2)
 
 
 def test_enumeration_cluster_shape_in_finite_type():
@@ -261,15 +287,24 @@ def test_fpoly_is_path_independent():
                 if cv.alt_path is not None]
     assert with_alt
     for cv in rng.sample(with_alt, min(10, len(with_alt))):
-        other = ClusterVariable(cv.ident, cv.expansion, cv.dvector,
-                                cv.alt_path, cv.alt_vertex)
+        other = ClusterVariable(cv.ident, cv.gvector, cv.alt_path,
+                                cv.alt_vertex, s)
+        assert other.expansion == cv.expansion
+        assert other.dvector == cv.dvector
         assert (f_polynomial_and_gvector(s, other)
                 == f_polynomial_and_gvector(s, cv))
 
 
 def test_fpoly_rejects_unreachable_variables():
     s = gamma_seed(A2, 1)
-    fake = ClusterVariable("x", LPoly.var(("z", 9, 9)), (0, 0), (), (1, 2))
+    graph = enumerate_exchange_graph(s)
+    for cv in graph.variables.values():
+        # a variable whose g-vector is not the one its path reaches
+        wrong = tuple(-x for x in cv.gvector)
+        fake = ClusterVariable("x", wrong, cv.path, cv.vertex, s)
+        with pytest.raises(InvalidInputError):
+            f_polynomial_and_gvector(s, fake)
+    fake = ClusterVariable("x", (0, 0), (), (9, 9), s)
     with pytest.raises(InvalidInputError):
         f_polynomial_and_gvector(s, fake)
 
@@ -313,7 +348,6 @@ def test_classification_reports_cap_overflow():
     assert classify_finite_type(D4, 2, cap=60) == "infinite-or-large"
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("label,level", [("A4", 2), ("A2", 4)])
 def test_classification_e8_rows(label, level):
     c = CartanData.from_label(label)

@@ -175,7 +175,6 @@ def test_verify_l1_reports():
         assert len(report) == len(c.positive_roots()) + 1
 
 
-@pytest.mark.slow
 def test_verify_l1_type_e6():
     c = CartanData.from_label("E6")
     report = verify_l1(c)
