@@ -149,16 +149,8 @@ def _phi_minus(c: CartanData, spaces: dict, mats: dict):
     new_dim1 = {}
     for i in i1:
         nbrs = c.neighbors(i)
-        total = sum(spaces[j] for j in nbrs)
-        stacked = []
-        for r in range(total):
-            stacked.append([Fraction(0)] * spaces[i])
-        off = 0
-        for j in nbrs:
-            m = mats[(i, j)]
-            for r in range(spaces[j]):
-                stacked[off + r] = [Fraction(x) for x in m[r]]
-            off += spaces[j]
+        stacked = [[Fraction(x) for x in row]
+                   for j in nbrs for row in mats[(i, j)]]
         proj = _coker_data(stacked, QQ)
         proj1[i] = (proj, nbrs)
         new_dim1[i] = len(proj)
@@ -168,30 +160,20 @@ def _phi_minus(c: CartanData, spaces: dict, mats: dict):
         proj, nbrs = proj1[i]
         off = 0
         for j in nbrs:
-            block = [row[off:off + spaces[j]] for row in proj]
-            inter[(j, i)] = block
+            inter[(j, i)] = [row[off:off + spaces[j]] for row in proj]
             off += spaces[j]
     # stage 2: N_j = coker(M_j -> sum of N_i), j in class 0
     out_dims = {}
     out_mats = {}
     for j in i0:
         nbrs = c.neighbors(j)
-        total = sum(new_dim1[i] for i in nbrs)
-        stacked = [[Fraction(0)] * spaces[j] for _ in range(total)]
-        off = 0
-        for i in nbrs:
-            blk = inter[(j, i)]
-            for r in range(new_dim1[i]):
-                stacked[off + r] = list(blk[r])
-            off += new_dim1[i]
+        stacked = [list(row) for i in nbrs for row in inter[(j, i)]]
         proj = _coker_data(stacked, QQ)
         out_dims[j] = len(proj)
         off = 0
         for i in nbrs:
-            cols = new_dim1[i]
-            block = [row[off:off + cols] for row in proj]
-            out_mats[(i, j)] = block
-            off += cols
+            out_mats[(i, j)] = [row[off:off + new_dim1[i]] for row in proj]
+            off += new_dim1[i]
     for i in i1:
         out_dims[i] = new_dim1[i]
     return out_dims, out_mats
@@ -393,20 +375,18 @@ def generic_decomposition(c: CartanData, d) -> List[tuple]:
 # --- quiver Grassmannians --------------------------------------------------
 
 def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
-                        nu=None) -> dict:
+                        nus=None) -> dict:
     """Point counts over F_p of subrepresentation Grassmannians, by nu.
 
     Counts the tuples of subspaces U_v of F_p^(d_v) closed under mats,
     integer matrices read mod p; vertices_order must list arrow targets
-    before their sources.  nu is None, which leaves every dimension
-    free, or a dict that pins dim U_v = nu_v, 0 <= nu_v <= d_v (0 where
-    absent).  Returns {nu: count} over the nu with points, each nu a
-    tuple of (vertex, dim U_v) pairs along vertices_order with the
-    zeros left out.
+    before their sources.  Each nu is a tuple of (vertex, dim U_v) pairs
+    along vertices_order with the zeros left out.  Walks every nu (nus
+    None) or the set nus, and returns {nu: count} over those with points.
 
     One side is counted in closed form: the sources or the sinks,
-    whichever has the larger sum of nu_v (d_v - nu_v), or of its largest
-    value floor(d_v^2 / 4) when nu is free, ties going to the sources.
+    whichever has the larger sum of the largest nu_v (d_v - nu_v) walked,
+    ties going to the sources.
     Neither side has an arrow inside it, so the subspaces at the other
     vertices, walked targets first, fix everything a closed vertex b
     sees: W_b, the span of the images of the arrows into b, and P_b, the
@@ -414,24 +394,32 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
     b.  A source has W_b = 0 and a sink has P_b = M_b, so W_b lies in
     P_b, and the U_b of dimension k between them number
     [dim P_b - dim W_b, k - dim W_b]_p for dim W_b <= k <= dim P_b.
-    Every partial choice extends by zero subspaces, so a free walk meets
-    no dead end: its work follows the number of points.
+    A walked vertex tries only the dimensions that extend a prefix of a
+    walked nu.  Every partial choice extends by zero subspaces, so a walk
+    of every nu meets no dead end: its work follows the number of points.
     """
     field = GF(p)
-    spans = {v: range(dims.get(v, 0) + 1) if nu is None
-             else (nu.get(v, 0),) for v in vertices_order}
+    rows = None if nus is None else [dict(nu) for nu in nus]
+    spans = {v: range(dims.get(v, 0) + 1) if rows is None
+             else {row.get(v, 0) for row in rows} for v in vertices_order}
     heads = {t for (_, t) in arrows}
     tails = {s for (s, _) in arrows}
     sources = [v for v in vertices_order if v not in heads]
     sinks = [v for v in vertices_order if v not in tails]
 
     def degree(side):
-        return sum(max(k * (dims.get(v, 0) - k) for k in spans[v])
-                   for v in side)
+        return sum(max((k * (dims.get(v, 0) - k) for k in spans[v]),
+                       default=0) for v in side)
 
     closed = sources if degree(sources) >= degree(sinks) else sinks
     shut = set(closed)
     walked = [v for v in vertices_order if v not in shut]
+    # the walked nu as a trie over the walked vertices; None walks all
+    trie = None if rows is None else {}
+    for row in rows or ():
+        node = trie
+        for v in walked:
+            node = node.setdefault(row.get(v, 0), {})
     # arrows into closed vertices are read at the leaves only
     out_arrows = {v: [] for v in vertices_order}
     in_arrows = {v: [] for v in closed}
@@ -466,9 +454,10 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
                 combo[index[b]] = k
                 total *= n
             key = tuple((v, k) for v, k in zip(vertices_order, combo) if k)
-            counts[key] = counts.get(key, 0) + total
+            if nus is None or key in nus:
+                counts[key] = counts.get(key, 0) + total
 
-    def walk(idx, chosen, anns):
+    def walk(idx, chosen, anns, node):
         if idx == len(walked):
             close(chosen, anns)
             return
@@ -477,15 +466,16 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
         forms = constraint(v, anns)
         allowed = (linalg.nullspace(forms, dv, field) if forms
                    else linalg.identity(dv))
-        for k in spans[v]:
+        for k in (spans[v] if node is None else node):
             combo[index[v]] = k
+            child = None if node is None else node[k]
             for sub in linalg.subspaces_of(allowed, k, field):
                 chosen[v] = sub
                 if v in heads:
                     anns[v] = linalg.annihilator(sub, dv, field)
-                walk(idx + 1, chosen, anns)
+                walk(idx + 1, chosen, anns, child)
 
-    walk(0, {}, {})
+    walk(0, {}, {}, trie)
     return counts
 
 
@@ -519,14 +509,13 @@ def _reduction(M: QuiverRep, p: int) -> QuiverRep:
     return _memoized(M, ("mod", p), lambda: M.reduce_mod(p))
 
 
-def _points(M: QuiverRep, p: int, nu=None) -> dict:
-    """{nu: point count over F_p}: one walk of M mod p, free or at nu."""
+def _points(M: QuiverRep, p: int, nus=None) -> dict:
+    """{nu: point count over F_p}: one walk of M mod p, of every nu or nus."""
     def make():
         rep = _reduction(M, p)
         order, arrows = _support_walk(M)
-        return count_subrep_tuples(order, arrows, rep.dims, rep.mats, p,
-                                   None if nu is None else dict(nu))
-    return _memoized(M, ("points", p, nu), make)
+        return count_subrep_tuples(order, arrows, rep.dims, rep.mats, p, nus)
+    return _memoized(M, ("points", p, nus), make)
 
 
 def _nu_key(M: QuiverRep, nu) -> tuple:
@@ -544,7 +533,7 @@ def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
     key = _nu_key(M, nu)
     if M.field not in (None, p):
         raise InvalidInputError("representation is over a different prime")
-    return _points(M, p, key).get(key, 0)
+    return _points(M, p, frozenset((key,))).get(key, 0)
 
 
 def _first_good_primes(M: QuiverRep, count: int) -> List[int]:
@@ -618,26 +607,28 @@ def _inverse_vandermonde(xs: tuple):
 def grassmannian_euler(M: QuiverRep, nu) -> int:
     """Euler characteristic of the subrepresentation Grassmannian at nu.
 
-    Fitted like euler_series, from walks pinned to nu, so the counting
+    Fitted like euler_series, from walks of nu alone, so the counting
     polynomial at nu must have nonnegative coefficients, as for both
     routes' modules and for every indecomposable of a Dynkin quiver (all
     that `rep euler` builds).
     """
-    return _euler_at(M, _nu_key(M, nu), pinned=True)
+    key = _nu_key(M, nu)
+    return _fit_series(M, frozenset((key,))).get(key, 0)
 
 
 def euler_series(M: QuiverRep) -> dict:
     """Every nonzero Euler characteristic of M's quiver Grassmannians.
 
     Returns {nu: chi}, each nu a tuple of (vertex, nu_v) pairs along the
-    walk order with the zeros left out.  Each good prime gets one free
-    walk, memoized on M.  The walk at the first good prime p1 finds the
-    nu with points; each is interpolated from the walks at the first
-    bound + 2 good primes.  This is exact because every counting
-    polynomial P here has nonnegative integer coefficients: P(p1) = 0
-    forces P = 0, so a nu the walk misses has chi = 0, and P(p1) = n > 0
-    forces chi = P(1) > 0 and p1^deg P <= n, so the degree bound is the
-    smaller of the largest b with p1^b <= n and sum_v nu_v (d_v - nu_v).
+    walk order with the zeros left out.  The walk of every nu at the
+    first good prime p1 finds the nu with points; each later good prime
+    is walked only for the nu whose fit needs it.  This is exact because
+    every counting polynomial P here has nonnegative integer
+    coefficients: P(p1) = 0 forces P = 0, so a nu the walk misses has
+    chi = 0, and P(p1) > 0 forces chi = P(1) > 0 and P(p) >= p^deg P, so
+    each walked prime p lowers the degree bound, from sum_v nu_v
+    (d_v - nu_v), to the largest b with p^b <= P(p); a nu is fitted from
+    bound + 2 points.
     - Preprojective route: the Grassmannians of sums of injectives of the
       graded preprojective algebra are Nakajima's graded quiver
       varieties (Leclerc and Plamondon, Nakajima varieties and
@@ -652,35 +643,43 @@ def euler_series(M: QuiverRep) -> dict:
       in q = t^2.
     Raises ConsistencyError on a misfit or a chi <= 0, which break that.
     """
-    return {nu: _euler_at(M, nu, pinned=False)
-            for nu in _points(M, _first_p(M))}
+    return _fit_series(M, None)
 
 
-def _first_p(M: QuiverRep) -> int:
+def _fit_series(M: QuiverRep, nus) -> dict:
+    """euler_series at the nu of the set nus (at every nu when None)."""
     if M.field is not None:
         raise InvalidInputError("Euler characteristics need a rational model")
-    return _first_good_primes(M, 1)[0]
-
-
-def _euler_at(M: QuiverRep, nu: tuple, pinned: bool) -> int:
-    """chi at the nu key nu, fitted as in euler_series."""
-    walk = nu if pinned else None
-    p1 = _first_p(M)
-    n = _points(M, p1, walk).get(nu, 0)
-    if not n:
-        return 0
-    bound, power = 0, p1
-    while power <= n:
-        bound, power = bound + 1, power * p1
-    bound = min(bound, sum(k * (M.dims[v] - k) for v, k in nu))
-    chi = interpolate_at_one([(p, _points(M, p, walk).get(nu, 0))
-                              for p in _first_good_primes(M, bound + 2)],
-                             bound)
-    if chi <= 0:
-        raise ConsistencyError(
-            f"Euler characteristic {chi} at {nu}, which has points over "
-            f"F_{p1}; the counting polynomial is not positive")
-    return chi
+    primes = _first_good_primes(M, 1)
+    counts = _points(M, primes[0], nus)
+    points = {nu: [] for nu in counts}
+    bounds = {nu: sum(k * (M.dims[v] - k) for v, k in nu) for nu in counts}
+    pending = points
+    while pending:
+        for nu in pending:
+            n = counts.get(nu, 0)
+            points[nu].append((primes[-1], n))
+            while bounds[nu] and primes[-1] ** bounds[nu] > n:
+                bounds[nu] -= 1
+        pending = frozenset(nu for nu in pending
+                            if len(primes) < bounds[nu] + 2)
+        if pending:
+            primes = _first_good_primes(M, len(primes) + 1)
+            counts = _points(M, primes[-1], pending)
+    series = {}
+    for nu, pts in points.items():
+        try:
+            chi = interpolate_at_one(pts, bounds[nu])
+        except ConsistencyError as err:
+            raise ConsistencyError(
+                f"{err}: at {nu}, primes {[p for p, _ in pts]}, degree "
+                f"bound {bounds[nu]}") from err
+        if chi <= 0:
+            raise ConsistencyError(
+                f"Euler characteristic {chi} at {nu}, which has points over "
+                f"F_{primes[0]}; the counting polynomial is not positive")
+        series[nu] = chi
+    return series
 
 
 def reflect_i1(c: CartanData, beta) -> tuple:

@@ -4,23 +4,28 @@ The oracle interpolates chi at every nu that passes the kernel bound
 nu_s <= nu_t + dim ker M_(s->t) on each arrow, with the loose degree
 bound sum_v nu_v (d_v - nu_v) and so one prime per unit of it, and
 keeps the nonzero answers; euler_series must find exactly those nu,
-with the same Euler characteristics, from one walk at the first good
-prime and degree bounds capped by its counts.  The oracle reads the
-same free walks, so it first checks them, at the first two good primes,
-against direct_counts, which shares no code with count_subrep_tuples.
+with the same Euler characteristics, from one walk of every nu at the
+first good prime, walks of fewer nu at later primes, and degree bounds
+capped by the counts.  The oracle reads walks of every nu, so it first
+checks them, at the first two good primes, against direct_counts, which
+shares no code with count_subrep_tuples, and then checks that a walk of
+a nu set, at p = 2, 3 and 5, is the walk of every nu filtered to it.
 """
 
+import re
 from collections import Counter
 
 import pytest
 
 from qloop import linalg, quiverrep
 from qloop.cartan import CartanData
+from qloop.cli import main
 from qloop.errors import ConsistencyError
 from qloop.linalg import GF
 from qloop.preproj import build_window, injective_module
-from qloop.quiverrep import (_first_good_primes, _nu_key, _points,
-                             _support_walk, arrow_ranks, euler_series,
+from qloop.quiverrep import (QuiverRep, _first_good_primes, _nu_key,
+                             _points, _support_walk, arrow_ranks,
+                             count_subrep_tuples, euler_series,
                              grassmannian_euler, indecomposable_rep,
                              interpolate_at_one)
 
@@ -96,9 +101,47 @@ def loose_bound_euler(M, nu):
                               bound)
 
 
+def fit_primes(M):
+    """{nu: the good primes euler_series fits nu from}.
+
+    Read from walks of every nu: a nu with points over F_p1 starts with
+    the degree bound sum nu (d - nu), each prime p read lowers it to the
+    largest b with p^b <= P(p), and nu stops at bound + 2 primes.
+    """
+    p1 = _first_good_primes(M, 1)[0]
+    primes_of = {}
+    for nu in _points(M, p1):
+        bound = sum(k * (M.dims[v] - k) for v, k in nu)
+        read = []
+        while len(read) < bound + 2:
+            p = _first_good_primes(M, len(read) + 1)[-1]
+            read.append(p)
+            while bound and p ** bound > _points(M, p).get(nu, 0):
+                bound -= 1
+        primes_of[nu] = read
+    return primes_of
+
+
+def _check_walks_of_nu_sets(M):
+    """A walk of a nu set is the walk of every nu filtered to the set,
+    for the set euler_series walks at p and for one nu."""
+    primes_of = fit_primes(M)
+    order, arrows = _support_walk(M)
+    for p in (2, 3, 5):
+        free = _points(M, p)
+        asked = frozenset(nu for nu, ps in primes_of.items() if p in ps)
+        heaviest = frozenset([max(free, key=free.get)])
+        rep = M.reduce_mod(p)
+        for nus in (asked, heaviest):
+            assert (count_subrep_tuples(order, arrows, rep.dims, rep.mats,
+                                        p, nus)
+                    == {nu: n for nu, n in free.items() if nu in nus}), p
+
+
 def _swept_series(M):
     for p in _first_good_primes(M, 2):
         assert _points(M, p) == direct_counts(M, p), p
+    _check_walks_of_nu_sets(M)
     series = {}
     for nu in _kernel_bound_sweep(M):
         chi = loose_bound_euler(M, nu)
@@ -150,3 +193,57 @@ def test_grassmannian_euler_matches_the_series_at_every_nu():
         for nu in _kernel_bound_sweep(rep):
             assert (grassmannian_euler(rep, nu)
                     == series.get(tuple(nu.items()), 0)), nu
+
+
+def _fresh(rep):
+    """A copy of rep with nothing memoized on it."""
+    return QuiverRep(rep.quiver, rep.dims, rep.mats)
+
+
+# P(2) = 9 allows degree 3, but P(3) = 16 = (1 + 3)^2 allows only 2
+E6_BETA, E6_NU = (1, 1, 2, 3, 2, 1), ((4, 2), (6, 1), (5, 1))
+
+
+def test_later_primes_walk_only_the_nu_whose_fit_needs_them(monkeypatch):
+    rep = indecomposable_rep(CartanData.from_label("E6"), E6_BETA)
+    primes_of = fit_primes(rep)
+    assert primes_of[E6_NU] == [2, 3, 5, 7]
+    series = euler_series(rep)
+    walks = []
+    walk = quiverrep.count_subrep_tuples
+
+    def recorded(order, arrows, dims, mats, p, nus=None):
+        walks.append((p, nus))
+        return walk(order, arrows, dims, mats, p, nus)
+
+    monkeypatch.setattr(quiverrep, "count_subrep_tuples", recorded)
+    m = _fresh(rep)
+    assert grassmannian_euler(m, dict(E6_NU)) == 4
+    assert walks == [(p, frozenset([E6_NU])) for p in (2, 3, 5, 7)]
+    del walks[:]
+    assert euler_series(_fresh(rep)) == series
+    primes = sorted({p for ps in primes_of.values() for p in ps})
+    assert walks == [(2, None)] + [
+        (p, frozenset(nu for nu, ps in primes_of.items() if p in ps))
+        for p in primes[1:]]
+
+
+def test_a_misfit_names_its_nu_primes_and_bound(monkeypatch, capsys):
+    walk = quiverrep.count_subrep_tuples
+
+    def off_at_5(order, arrows, dims, mats, p, nus=None):
+        counts = walk(order, arrows, dims, mats, p, nus)
+        return {nu: n + (p == 5) for nu, n in counts.items()}
+
+    monkeypatch.setattr(quiverrep, "count_subrep_tuples", off_at_5)
+    # Gr_(0,0,1,0) of this indecomposable counts p + 1 points, degree 1
+    m = _fresh(indecomposable_rep(CartanData.from_label("D4"), (1, 1, 2, 1)))
+    message = ("point counts do not fit a polynomial within the degree "
+               "bound: at ((3, 1),), primes [2, 3, 5], degree bound 1")
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        grassmannian_euler(m, (0, 0, 1, 0))
+    # from the CLI too, with exit 1; the miscounted module is not kept
+    monkeypatch.setattr(quiverrep, "_INDEC_CACHE", {})
+    assert main(["rep", "euler", "--type", "D4", "--beta", "1,1,2,1",
+                 "--nu", "0,0,1,0"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

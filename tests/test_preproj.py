@@ -251,7 +251,10 @@ def _assert_fundamental(label, i, dim):
     ("E6", 3, 378),  # 351 + 27
     ("E6", 5, 378),  # its dual
     ("E6", 6, 27),   # the dual 27
+    ("E7", 1, 134),  # adjoint 133 plus trivial
+    ("E7", 2, 968),  # V(w2) + V(w7) = 912 + 56
     ("E7", 7, 56),   # the minuscule 56
+    ("E8", 8, 249),  # adjoint 248 plus trivial
 ])
 def test_exceptional_fundamental_dimensions(label, i, dim):
     _assert_fundamental(label, i, dim)

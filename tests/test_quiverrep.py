@@ -226,14 +226,21 @@ def test_free_walk_matches_brute_force():
             mats = {a: [[x % p for x in row] for row in m]
                     for a, m in rep.mats.items()}
             free = count_subrep_tuples(order, arrows, rep.dims, mats, p)
-            brute = {}
+            brute, every = {}, []
             for nu in itertools.product(*[range(d + 1)
                                           for d in rep.dim_vector()]):
+                dims = dict(zip(verts, nu))
+                key = tuple((v, dims[v]) for v in order if dims[v])
+                every.append(key)
                 n = _brute_force_count(rep, nu, p)
                 if n:
-                    dims = dict(zip(verts, nu))
-                    brute[tuple((v, dims[v]) for v in order if dims[v])] = n
+                    brute[key] = n
             assert free == brute, (rep.dim_vector(), p)
+            # walks of nu sets: each nu alone, and every other nu
+            for nus in [[key] for key in every] + [every[::2]]:
+                assert (count_subrep_tuples(order, arrows, rep.dims, mats,
+                                            p, frozenset(nus))
+                        == {nu: brute[nu] for nu in nus if nu in brute})
 
 
 def test_count_split_sums_to_total_subrep_count():
@@ -376,9 +383,9 @@ def test_grassmannian_euler_walks_only_its_nu(monkeypatch):
     walks = []
     walk = quiverrep.count_subrep_tuples
 
-    def recorded(order, arrows, dims, mats, p, nu=None):
-        counts = walk(order, arrows, dims, mats, p, nu)
-        walks.append((nu, counts))
+    def recorded(order, arrows, dims, mats, p, nus=None):
+        counts = walk(order, arrows, dims, mats, p, nus)
+        walks.append((nus, counts))
         return counts
 
     monkeypatch.setattr(quiverrep, "count_subrep_tuples", recorded)
@@ -387,9 +394,9 @@ def test_grassmannian_euler_walks_only_its_nu(monkeypatch):
     m = QuiverRep(m.quiver, m.dims, m.mats)
     assert grassmannian_euler(m, (0, 0, 1, 0)) == 2
     assert walks
-    assert all(nu == {3: 1} and list(counts) == [((3, 1),)]
-               for nu, counts in walks)
+    assert all(nus == {((3, 1),)} and list(counts) == [((3, 1),)]
+               for nus, counts in walks)
     # no points over the first good prime: one walk, and chi = 0
     del walks[:]
     assert grassmannian_euler(m, (1, 0, 0, 0)) == 0
-    assert walks == [({1: 1}, {})]
+    assert walks == [({((1, 1),)}, {})]
