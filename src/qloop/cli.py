@@ -150,6 +150,8 @@ def _cartan(label: str) -> CartanData:
 def _run(args) -> int:
     fmt = args.format
     cap = args.seed_cap
+    if cap < 1:
+        raise InvalidInputError(f"--seed-cap must be at least 1, not {cap}")
     if args.group == "sl2":
         if args.command == "kr":
             _emit_poly(sl2.kr_qchar_sl2(args.k, args.s), fmt)

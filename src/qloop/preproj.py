@@ -13,9 +13,10 @@ characteristics of their quiver Grassmannians.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Tuple
 
-from . import linalg, quiverrep
+from . import linalg, lpoly, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError, WindowTooSmallError
 from .linalg import QQ
@@ -196,10 +197,11 @@ def standard_qchar(c: CartanData, W) -> YPolynomial:
 
 def _grassmannian_qchar(window: ZQWindow, delta: QuiverRep,
                         top: YMonomial) -> YPolynomial:
-    terms = []
-    for nu, chi in quiverrep.euler_series(delta).items():
-        mono = top
-        for (j, s), n in nu:
-            mono = mono * (a_monomial_exps(window.c, j, s + 1) ** (-n))
-        terms.append((mono, chi))
-    return YPolynomial(terms)
+    series = quiverrep.euler_series(delta)
+    # the exponent pairs of A[j, s+1]^-1, once per vertex (j, s)
+    a_inv = {v: a_monomial_exps(window.c, v[0], v[1] + 1).inverse().key
+             for v in {v for nu in series for v, _ in nu}}
+    return YPolynomial(lpoly.LPoly(
+        (lpoly.mono(chain(top.key, ((y, e * n) for v, n in nu
+                                    for y, e in a_inv[v]))), chi)
+        for nu, chi in series.items()))

@@ -397,6 +397,10 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
     A walked vertex tries only the dimensions that extend a prefix of a
     walked nu.  Every partial choice extends by zero subspaces, so a walk
     of every nu meets no dead end: its work follows the number of points.
+    Tables that live for one call do the linear algebra once: subspaces
+    are interned as ids keyed by their rref bases, P_v of a walked vertex
+    is kept per ids at its targets, its subspace lists per (id, k), and a
+    closed vertex's binomials per ids at its neighbours.
     """
     field = GF(p)
     rows = None if nus is None else [dict(nu) for nu in nus]
@@ -429,53 +433,92 @@ def count_subrep_tuples(vertices_order, arrows, dims, mats, p,
         else:
             out_arrows[s].append((t, mats[(s, t)]))
     index = {v: k for k, v in enumerate(vertices_order)}
-    combo = [0] * len(vertices_order)
+    # the (v, k) pairs of nu keys are made once and shared by every key
+    pairs = {v: [None] + [(v, k) for k in range(1, dims.get(v, 0) + 1)]
+             for v in vertices_order}
+    combo = [None] * len(vertices_order)
     counts = {}
+    # subspaces of F_p^d as ids; bases[i] = (d, rref rows), anns[i] lazy
+    ids, bases, anns = {}, [], {}
+    chosen = {}
+    at = chosen.__getitem__
+    # the tables, keyed by the ids at a vertex's targets or neighbours
+    targets = {v: tuple(t for t, _ in out_arrows[v]) for v in walked}
+    rooms = {v: {} for v in walked}
+    lists = {}
+    around = {b: tuple(s for s, _ in in_arrows[b])
+              + tuple(t for t, _ in out_arrows[b]) for b in closed}
+    shuts = {b: {} for b in closed}
 
-    def constraint(v, anns):
-        return [row for t, m in out_arrows[v]
-                for row in linalg.mat_mul(anns[t], m, field)]
+    def intern(d, basis):
+        key = (d, tuple(map(tuple, basis)))
+        if key not in ids:
+            ids[key] = len(bases)
+            bases.append((d, basis))
+        return ids[key]
 
-    def close(chosen, anns):
-        choices = []
-        for b in closed:
-            images = [row for s, mt in in_arrows[b]
-                      for row in linalg.mat_mul(chosen[s], mt, field)]
-            forms = constraint(b, anns)
+    def forms(v):
+        for t, m in out_arrows[v]:
+            i = chosen[t]
+            if i not in anns:
+                anns[i] = linalg.annihilator(bases[i][1], bases[i][0], field)
+            yield from linalg.mat_mul(anns[i], m, field)
+
+    def room(v):
+        """Id of the preimage at v of the subspaces at its targets."""
+        key = tuple(map(at, targets[v]))
+        if key not in rooms[v]:
+            dv, eqs = dims.get(v, 0), list(forms(v))
+            basis = (linalg.rref(linalg.nullspace(eqs, dv, field), field)[0]
+                     if eqs else linalg.identity(dv))
+            rooms[v][key] = intern(dv, basis)
+        return rooms[v][key]
+
+    def subspaces(a, k):
+        # pattern . basis of two full-rank rref matrices is in rref
+        if (a, k) not in lists:
+            d, basis = bases[a]
+            lists[(a, k)] = [intern(d, sub) for sub in
+                             linalg.subspaces_of(basis, k, field)]
+        return lists[(a, k)]
+
+    def choices(b):
+        key = tuple(map(at, around[b]))
+        if key not in shuts[b]:
+            images = [row for s, mt in in_arrows[b] for row in
+                      linalg.mat_mul(bases[chosen[s]][1], mt, field)]
+            eqs = list(forms(b))
             low = linalg.rank(images, field) if images else 0
-            high = dims.get(b, 0) - (linalg.rank(forms, field) if forms
-                                     else 0)
-            choices.append([(k, linalg.gaussian_binomial(high - low, k - low,
-                                                         p))
-                            for k in spans[b] if low <= k <= high])
-        for pick in product(*choices):
+            high = dims.get(b, 0) - (linalg.rank(eqs, field) if eqs else 0)
+            shuts[b][key] = [(k, linalg.gaussian_binomial(high - low,
+                                                          k - low, p))
+                             for k in spans[b] if low <= k <= high]
+        return shuts[b][key]
+
+    def close():
+        for pick in product(*map(choices, closed)):
             total = 1
             for b, (k, n) in zip(closed, pick):
-                combo[index[b]] = k
+                combo[index[b]] = pairs[b][k]
                 total *= n
-            key = tuple((v, k) for v, k in zip(vertices_order, combo) if k)
+            key = tuple(filter(None, combo))
             if nus is None or key in nus:
                 counts[key] = counts.get(key, 0) + total
 
-    def walk(idx, chosen, anns, node):
+    def walk(idx, node):
         if idx == len(walked):
-            close(chosen, anns)
+            close()
             return
         v = walked[idx]
-        dv = dims.get(v, 0)
-        forms = constraint(v, anns)
-        allowed = (linalg.nullspace(forms, dv, field) if forms
-                   else linalg.identity(dv))
+        allowed = room(v)
         for k in (spans[v] if node is None else node):
-            combo[index[v]] = k
+            combo[index[v]] = pairs[v][k]
             child = None if node is None else node[k]
-            for sub in linalg.subspaces_of(allowed, k, field):
+            for sub in subspaces(allowed, k):
                 chosen[v] = sub
-                if v in heads:
-                    anns[v] = linalg.annihilator(sub, dv, field)
-                walk(idx + 1, chosen, anns, child)
+                walk(idx + 1, child)
 
-    walk(0, {}, {}, trie)
+    walk(0, trie)
     return counts
 
 

@@ -150,6 +150,14 @@ def test_cap_exceeded_is_reported(capsys):
     assert code == 1 and "cap" in err
 
 
+def test_a_cap_below_one_is_invalid_input(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run(capsys, "cluster", "enumerate", "--type", "A1",
+                             "--level", "1", "--seed-cap", cap)
+        assert code == 2 and out == "", cap
+        assert err == f"error: --seed-cap must be at least 1, not {cap}\n"
+
+
 def test_iota_fingerprint_fails_on_a_wrong_type(capsys, monkeypatch):
     monkeypatch.setattr(cluster, "classify_finite_type", lambda *a: "A5")
     code, out, _ = run(capsys, "verify", "iota", "--type", "A2",

@@ -10,10 +10,13 @@ capped by the counts.  The oracle reads walks of every nu, so it first
 checks them, at the first two good primes, against direct_counts, which
 shares no code with count_subrep_tuples, and then checks that a walk of
 a nu set, at p = 2, 3 and 5, is the walk of every nu filtered to it.
+At those primes every walk also equals _reference_walk, the same walk
+without its subspace tables.
 """
 
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -92,6 +95,93 @@ def direct_counts(M, p):
     return dict(counts)
 
 
+def _reference_walk(vertices_order, arrows, dims, mats, p, nus=None):
+    """The walk of count_subrep_tuples without its tables.
+
+    Every walk node takes its nullspace, annihilators and constraint
+    products afresh, and every leaf its closed vertices' ranks.
+    """
+    field = GF(p)
+    rows = None if nus is None else [dict(nu) for nu in nus]
+    spans = {v: range(dims.get(v, 0) + 1) if rows is None
+             else {row.get(v, 0) for row in rows} for v in vertices_order}
+    heads = {t for (_, t) in arrows}
+    tails = {s for (s, _) in arrows}
+    sources = [v for v in vertices_order if v not in heads]
+    sinks = [v for v in vertices_order if v not in tails]
+
+    def degree(side):
+        return sum(max((k * (dims.get(v, 0) - k) for k in spans[v]),
+                       default=0) for v in side)
+
+    closed = sources if degree(sources) >= degree(sinks) else sinks
+    shut = set(closed)
+    walked = [v for v in vertices_order if v not in shut]
+    # the walked nu as a trie over the walked vertices; None walks all
+    trie = None if rows is None else {}
+    for row in rows or ():
+        node = trie
+        for v in walked:
+            node = node.setdefault(row.get(v, 0), {})
+    # arrows into closed vertices are read at the leaves only
+    out_arrows = {v: [] for v in vertices_order}
+    in_arrows = {v: [] for v in closed}
+    for (s, t) in arrows:
+        if t in shut:
+            in_arrows[t].append((s, linalg.transpose(mats[(s, t)])))
+        else:
+            out_arrows[s].append((t, mats[(s, t)]))
+    index = {v: k for k, v in enumerate(vertices_order)}
+    combo = [0] * len(vertices_order)
+    counts = {}
+
+    def constraint(v, anns):
+        return [row for t, m in out_arrows[v]
+                for row in linalg.mat_mul(anns[t], m, field)]
+
+    def close(chosen, anns):
+        choices = []
+        for b in closed:
+            images = [row for s, mt in in_arrows[b]
+                      for row in linalg.mat_mul(chosen[s], mt, field)]
+            forms = constraint(b, anns)
+            low = linalg.rank(images, field) if images else 0
+            high = dims.get(b, 0) - (linalg.rank(forms, field) if forms
+                                     else 0)
+            choices.append([(k, linalg.gaussian_binomial(high - low, k - low,
+                                                         p))
+                            for k in spans[b] if low <= k <= high])
+        for pick in product(*choices):
+            total = 1
+            for b, (k, n) in zip(closed, pick):
+                combo[index[b]] = k
+                total *= n
+            key = tuple((v, k) for v, k in zip(vertices_order, combo) if k)
+            if nus is None or key in nus:
+                counts[key] = counts.get(key, 0) + total
+
+    def walk(idx, chosen, anns, node):
+        if idx == len(walked):
+            close(chosen, anns)
+            return
+        v = walked[idx]
+        dv = dims.get(v, 0)
+        forms = constraint(v, anns)
+        allowed = (linalg.nullspace(forms, dv, field) if forms
+                   else linalg.identity(dv))
+        for k in (spans[v] if node is None else node):
+            combo[index[v]] = k
+            child = None if node is None else node[k]
+            for sub in linalg.subspaces_of(allowed, k, field):
+                chosen[v] = sub
+                if v in heads:
+                    anns[v] = linalg.annihilator(sub, dv, field)
+                walk(idx + 1, chosen, anns, child)
+
+    walk(0, {}, {}, trie)
+    return counts
+
+
 def loose_bound_euler(M, nu):
     """chi at the dict nu, fitted with the degree bound sum nu (d - nu)."""
     bound = sum(n * (M.dims[v] - n) for v, n in nu.items())
@@ -124,18 +214,23 @@ def fit_primes(M):
 
 def _check_walks_of_nu_sets(M):
     """A walk of a nu set is the walk of every nu filtered to the set,
-    for the set euler_series walks at p and for one nu."""
+    for the set euler_series walks at p and for one nu; each of these
+    walks equals _reference_walk of the same set."""
     primes_of = fit_primes(M)
     order, arrows = _support_walk(M)
     for p in (2, 3, 5):
         free = _points(M, p)
+        rep = M.reduce_mod(p)
+        assert free == _reference_walk(order, arrows, rep.dims, rep.mats,
+                                       p), p
         asked = frozenset(nu for nu, ps in primes_of.items() if p in ps)
         heaviest = frozenset([max(free, key=free.get)])
-        rep = M.reduce_mod(p)
         for nus in (asked, heaviest):
-            assert (count_subrep_tuples(order, arrows, rep.dims, rep.mats,
-                                        p, nus)
-                    == {nu: n for nu, n in free.items() if nu in nus}), p
+            walk = count_subrep_tuples(order, arrows, rep.dims, rep.mats,
+                                       p, nus)
+            assert walk == {nu: n for nu, n in free.items() if nu in nus}, p
+            assert walk == _reference_walk(order, arrows, rep.dims,
+                                           rep.mats, p, nus), p
 
 
 def _swept_series(M):
@@ -175,6 +270,24 @@ def test_euler_series_matches_sweep_on_indecomposables(label):
 def test_euler_series_matches_sweep_on_larger_injectives(label, i):
     delta = _fundamental_injective(CartanData.from_label(label), i)
     assert euler_series(delta) == _swept_series(delta)
+
+
+def test_a_free_walk_reads_its_subspaces_from_tables(monkeypatch):
+    # without tables this walk takes 4182 rrefs, about one per walk node
+    delta = _fundamental_injective(CartanData.from_label("E6"), 3)
+    rep = delta.reduce_mod(2)
+    order, arrows = _support_walk(delta)
+    calls = []
+    rref = linalg.rref
+
+    def counted(rows, field):
+        calls.append(field)
+        return rref(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    counts = count_subrep_tuples(order, arrows, rep.dims, rep.mats, 2)
+    assert (len(counts), sum(counts.values())) == (351, 405)
+    assert len(calls) < 1000
 
 
 def test_euler_series_rejects_a_walked_nu_without_positive_chi(monkeypatch):

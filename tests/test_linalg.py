@@ -60,3 +60,14 @@ def test_subspaces_of_lists_each_subspace_once():
              for s in subs}
     assert len(subs) == len(canon) == linalg.gaussian_binomial(3, 2, 3) == 13
     assert all(linalg.rank(s, field) == 2 for s in subs)
+
+
+def test_subspaces_of_an_rref_basis_come_in_rref():
+    # count_subrep_tuples keys each subspace it meets by these bases
+    for p, d in ((2, 5), (3, 4), (5, 3)):
+        field = GF(p)
+        for r in range(d + 1):
+            for basis in linalg.subspaces_of(linalg.identity(d), r, field):
+                for k in range(r + 1):
+                    for sub in linalg.subspaces_of(basis, k, field):
+                        assert linalg.rref(sub, field)[0] == sub, (p, basis)

@@ -271,6 +271,20 @@ def test_e6_node4_fundamental_is_weyl_invariant():
     _weyl_invariant_weights(e6, poly)
 
 
+@pytest.mark.slow
+def test_e7_node5_fundamental_is_weyl_invariant():
+    # No independent oracle confirms 27664 monomials and total
+    # multiplicity 36080 yet; a Frenkel-Mukhin run would check them
+    # (ROADMAP item 2).  Takes under a minute on a 2-core host.
+    e7 = CartanData.from_label("E7")
+    poly = fundamental_qchar(e7, 5, e7.xi[4])
+    assert poly.n_monomials() == 27664
+    assert poly.total_mult() == 36080
+    _weyl_invariant_weights(e7, poly)
+    assert list(dominant_terms(poly).terms()) == [
+        (YMonomial([((5, e7.xi[4]), 1)]), 1)]
+
+
 # --- oracle: injectives as duals of explicit path spaces --------------------
 
 def _paths_down(window, target):
