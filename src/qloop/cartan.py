@@ -11,8 +11,6 @@ node 1 in class 0, except in type D where the branch node 3 is in class
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidInputError
 
@@ -36,29 +34,45 @@ def _edges_for(family: str, n: int):
     raise InvalidInputError(f"unsupported type family {family!r}")
 
 
-@dataclass(frozen=True)
 class CartanData:
-    """ADE Cartan matrix with a fixed bipartition of the Dynkin graph."""
+    """ADE Cartan matrix with a fixed bipartition of the Dynkin graph.
 
-    type_label: str
-    n: int
-    edges: tuple
-    xi: tuple  # xi[i-1] in {0, 1}
+    Equal data compare and hash equal, so a CartanData can key a cache.
+    """
 
-    def __post_init__(self):
-        n = self.n
+    __slots__ = ("type_label", "n", "edges", "xi", "_adjacent", "_roots",
+                 "_root_set")
+
+    def __init__(self, type_label: str, n: int, edges: tuple, xi: tuple):
+        self.type_label = type_label
+        self.n = n
+        self.edges = edges
+        self.xi = xi  # xi[i-1] in {0, 1}
         seen = set()
-        for (u, v) in self.edges:
+        for (u, v) in edges:
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
                 raise InvalidInputError(f"bad edge {(u, v)}")
             if self.xi[u - 1] == self.xi[v - 1]:
                 raise InvalidInputError("bipartition must split every edge")
             seen.add(frozenset((u, v)))
-        if len(seen) != len(self.edges):
+        if len(seen) != len(edges):
             raise InvalidInputError("duplicate edges")
-        if len(self.edges) != n - 1 or not self._connected():
+        if len(edges) != n - 1 or not self._connected():
             raise InvalidInputError("graph must be a connected tree (ADE)")
         self._assert_ade()
+        self._adjacent = frozenset(edges) | {(v, u) for u, v in edges}
+        self._roots = self._root_set = None
+
+    def _fields(self) -> tuple:
+        return (self.type_label, self.n, self.edges, self.xi)
+
+    def __eq__(self, other):
+        if other.__class__ is not CartanData:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def _assert_ade(self):
         degree = {i: 0 for i in self.nodes()}
@@ -132,11 +146,7 @@ class CartanData:
         """Cartan matrix entry a_ij."""
         if i == j:
             return 2
-        return -1 if frozenset((i, j)) in self._edge_set() else 0
-
-    @lru_cache(maxsize=None)
-    def _edge_set(self):
-        return frozenset(frozenset(e) for e in self.edges)
+        return -1 if (i, j) in self._adjacent else 0
 
     def neighbors(self, i: int) -> tuple:
         return tuple(sorted(v for e in self.edges for u, v in (e, e[::-1])
@@ -169,9 +179,10 @@ class CartanData:
         c = self.pairing(coords, i)
         return tuple(coords[j - 1] - (c if j == i else 0) for j in self.nodes())
 
-    @lru_cache(maxsize=None)
     def positive_roots(self) -> tuple:
         """All positive roots, sorted by (height, coordinates)."""
+        if self._roots is not None:
+            return self._roots
         roots = {self.simple_root(i) for i in self.nodes()}
         frontier = set(roots)
         while frontier:
@@ -183,7 +194,10 @@ class CartanData:
                         new.add(img)
             roots |= new
             frontier = new
-        return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+        self._roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
+        return self._roots
 
     def is_positive_root(self, coords: tuple) -> bool:
-        return tuple(coords) in set(self.positive_roots())
+        if self._root_set is None:
+            self._root_set = frozenset(self.positive_roots())
+        return tuple(coords) in self._root_set

@@ -10,18 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import cluster, engine, preproj, quiverrep, sl2
 from .cartan import CartanData
-from .engine import KRLabel
 from .errors import (CapExceededError, ConsistencyError, InvalidInputError,
                      QloopError, SingularityError)
 from .ymono import (YMonomial, YPolynomial, poly_to_json, render_latex,
                     render_text, render_vpoly_text, vpoly_to_json)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -153,6 +151,7 @@ def _run(args) -> int:
     if cap < 1:
         raise InvalidInputError(f"--seed-cap must be at least 1, not {cap}")
     if args.group == "sl2":
+        from . import sl2
         if args.command == "kr":
             _emit_poly(sl2.kr_qchar_sl2(args.k, args.s), fmt)
             return 0
@@ -170,6 +169,7 @@ def _run(args) -> int:
                   ("pass" if ok else "FAIL"))
             return 0 if ok else 1
     if args.group == "rep":
+        from . import quiverrep
         c = _cartan(args.type)
         if args.command == "roots":
             roots = quiverrep.positive_roots(c)
@@ -188,9 +188,11 @@ def _run(args) -> int:
     if args.group == "qchar":
         c = _cartan(args.type)
         if args.command == "fundamental":
+            from . import preproj
             _emit_poly(preproj.fundamental_qchar(c, args.node, args.shift), fmt)
             return 0
         if args.command == "standard":
+            from . import preproj
             try:
                 data = json.loads(args.w)
                 w = {(int(i), int(r)): int(mult) for i, r, mult in data}
@@ -199,16 +201,19 @@ def _run(args) -> int:
             _emit_poly(preproj.standard_qchar(c, w), fmt)
             return 0
         if args.command == "kr":
-            _emit_poly(engine.kr_qchar(c, KRLabel(args.node, args.k, args.s)),
-                       fmt)
+            from . import engine
+            _emit_poly(engine.kr_qchar(
+                c, engine.KRLabel(args.node, args.k, args.s)), fmt)
             return 0
     if args.group == "cluster":
         c = _cartan(args.type)
         if args.command == "enumerate":
+            from . import cluster
             graph = cluster.enumerate_exchange_graph(
                 cluster.gamma_seed(c, args.level), cap)
             return _emit_graph(c, graph, fmt)
         if args.command == "fpoly":
+            from . import engine
             if args.level != 1:
                 raise InvalidInputError("fpoly is a level-1 command")
             beta = _csv_ints(args.beta)
@@ -218,10 +223,12 @@ def _run(args) -> int:
                   if fmt == "json" else render_vpoly_text(fpoly))
             return 0
         if args.command == "classify":
+            from . import cluster
             label = cluster.classify_finite_type(c, args.level, cap)
             print(json.dumps({"type": label}) if fmt == "json" else label)
             return 0
     if args.group == "verify":
+        from . import engine
         c = _cartan(args.type)
         if args.command == "l1":
             return _report_exit(engine.verify_l1(c, cap), fmt)
@@ -236,6 +243,7 @@ def _run(args) -> int:
 
 
 def _emit_graph(c, graph, fmt: str) -> int:
+    from . import cluster
     counts = {"clusters": graph.n_clusters(),
               "variables": graph.n_variables(),
               "frozen": len(graph.seed.frozen)}

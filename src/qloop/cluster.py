@@ -15,17 +15,15 @@ seed, and the g-vector read there must equal the enumerated one.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from functools import cached_property
 from math import comb
-from typing import Dict, Optional, Tuple
 
 from .cartan import CartanData
 from .errors import (CapExceededError, ConsistencyError, InvalidInputError)
 from .lpoly import LPoly
 
-Vertex = Tuple[int, int]
+Vertex = tuple[int, int]
 
 
 def ring_key(v) -> tuple:
@@ -33,14 +31,14 @@ def ring_key(v) -> tuple:
     return v if isinstance(v[0], str) else ("z",) + v
 
 
-@dataclass(frozen=True)
-class Seed:
-    """Exchange matrix plus tracked variables; never edited in place."""
+class Seed(namedtuple("Seed", "mutable frozen b variables")):
+    """Exchange matrix plus tracked variables; never edited in place.
 
-    mutable: tuple
-    frozen: tuple
-    b: dict          # sparse {(v, w): entry}, at least one endpoint mutable
-    variables: dict  # {vertex: LPoly} for mutable vertices, in seed order
+    b is sparse, {(v, w): entry} with at least one endpoint mutable;
+    variables is {vertex: LPoly} for the mutable vertices, in seed order.
+    """
+
+    __slots__ = ()
 
     def var(self, v) -> LPoly:
         p = self.variables.get(v)
@@ -59,7 +57,7 @@ def _seed_from_quiver(mutable, frozen, arrows) -> Seed:
     mutable = tuple(sorted(mutable))
     frozen = tuple(sorted(frozen))
     mset = set(mutable)
-    b: Dict[Tuple[Vertex, Vertex], int] = {}
+    b: dict[tuple[Vertex, Vertex], int] = {}
     for (u, w) in arrows:
         if u not in mset and w not in mset:
             continue
@@ -126,7 +124,6 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
     return Seed(seed.mutable, seed.frozen, newb, variables)
 
 
-@dataclass
 class ClusterVariable:
     """A non-frozen cluster variable found during enumeration.
 
@@ -134,13 +131,16 @@ class ClusterVariable:
     are built on first read, by replaying the path from the seed.
     """
 
-    ident: str
-    gvector: tuple          # over mutable initial vertices, seed order
-    path: tuple             # mutation path from the initial seed
-    vertex: Vertex          # where the variable sits at the end of path
-    seed: Seed = field(repr=False, compare=False)
-    alt_path: Optional[tuple] = None
-    alt_vertex: Optional[Vertex] = None
+    def __init__(self, ident: str, gvector: tuple, path: tuple,
+                 vertex: Vertex, seed: Seed):
+        self.ident = ident
+        self.gvector = gvector  # over mutable initial vertices, seed order
+        self.path = path        # mutation path from the initial seed
+        self.vertex = vertex    # where the variable sits at the end of path
+        self.seed = seed
+        # a second path to the variable, when the enumeration met one
+        self.alt_path = None
+        self.alt_vertex = None
 
     @cached_property
     def expansion(self) -> LPoly:
@@ -155,14 +155,16 @@ class ClusterVariable:
                      for v in self.seed.mutable)
 
 
-@dataclass
 class ExchangeGraph:
     """Result of a breadth-first closure under mutation."""
 
-    seed: Seed
-    clusters: tuple         # frozensets of variable idents
-    variables: dict         # ident -> ClusterVariable
-    adjacency: dict         # cluster key -> number of distinct neighbors
+    def __init__(self, seed: Seed, clusters: tuple, variables: dict,
+                 adjacency: dict):
+        self.seed = seed
+        self.clusters = clusters    # frozensets of variable idents
+        self.variables = variables  # ident -> ClusterVariable
+        # cluster key -> number of distinct neighbors
+        self.adjacency = adjacency
 
     def n_clusters(self) -> int:
         return len(self.clusters)
@@ -219,8 +221,8 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     n = len(mutable)
     b0 = tuple(tuple(seed.b.get((v, w), 0) for w in mutable) for v in mutable)
     b0_cols = tuple(zip(*b0))
-    idents: Dict[tuple, str] = {}
-    variables: Dict[str, ClusterVariable] = {}
+    idents: dict[tuple, str] = {}
+    variables: dict[str, ClusterVariable] = {}
 
     def name(g: tuple, path: tuple, v: Vertex) -> str:
         ident = idents.get(g)
@@ -234,7 +236,7 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     # one key object per cluster: every neighbor set refers to it
     ckey = frozenset(names)
     seen = {ckey: ckey}
-    neighbor_sets: Dict[frozenset, set] = {}
+    neighbor_sets: dict[frozenset, set] = {}
     queue = deque([(b0, unit, unit, (), names, ckey)])
     while queue:
         b, c, g, path, names, ckey = queue.popleft()
@@ -356,7 +358,7 @@ def variable_by_denominator(graph: ExchangeGraph, beta) -> ClusterVariable:
 
 
 # (variable count, cluster count) fingerprints of the finite cluster types
-def _finite_type_table() -> Dict[Tuple[int, int], str]:
+def _finite_type_table() -> dict[tuple[int, int], str]:
     table = {}
     for n in range(1, 13):
         nvars = n * (n + 3) // 2

@@ -9,23 +9,19 @@ modules into prime factors by exact cover over cluster data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from collections import namedtuple
 
-from . import cluster, preproj, quiverrep
+from . import preproj, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError
 from .lpoly import LPoly
 from .ymono import (YMonomial, YPolynomial, a_monomial_exps, is_dominant)
 
 
-@dataclass(frozen=True)
-class KRLabel:
+class KRLabel(namedtuple("KRLabel", "i k s")):
     """Kirillov-Reshetikhin label: node, string length, spectral exponent."""
 
-    i: int
-    k: int
-    s: int
+    __slots__ = ()
 
 
 _KR_CACHE: dict = {}
@@ -157,7 +153,9 @@ def simple_trunc_qchar_c1(c: CartanData, beta) -> YPolynomial:
 _GRAPH_CACHE: dict = {}
 
 
-def level1_graph(c: CartanData, cap: int = 100000) -> cluster.ExchangeGraph:
+def level1_graph(c: CartanData, cap: int = 100000):
+    """The level-1 exchange graph of c, cached per (c, cap)."""
+    from . import cluster
     key = (c, cap)
     if key not in _GRAPH_CACHE:
         seed = cluster.gamma_seed(c, 1)
@@ -165,7 +163,7 @@ def level1_graph(c: CartanData, cap: int = 100000) -> cluster.ExchangeGraph:
     return _GRAPH_CACHE[key]
 
 
-def _node_dvector(c: CartanData, graph: cluster.ExchangeGraph, coords) -> tuple:
+def _node_dvector(c: CartanData, graph, coords) -> tuple:
     order = {v: idx for idx, v in enumerate(graph.seed.mutable)}
     target = [0] * len(graph.seed.mutable)
     for i in c.nodes():
@@ -183,13 +181,14 @@ def cluster_fpoly(c: CartanData, beta, cap: int = 100000) -> LPoly:
             or tuple(-x for x in beta) in map(c.simple_root, c.nodes())):
         raise InvalidInputError(f"{beta} is neither a positive root nor "
                                 f"minus a simple root of {c.type_label}")
+    from . import cluster
     graph = level1_graph(c, cap)
     cv = cluster.variable_by_denominator(graph, _node_dvector(c, graph, beta))
     fpoly, _ = cluster.f_polynomial_and_gvector(graph.seed, cv)
     return fpoly.map_keys(lambda v: v[0])
 
 
-def verify_l1(c: CartanData, cap: int = 100000) -> List[dict]:
+def verify_l1(c: CartanData, cap: int = 100000) -> list[dict]:
     """Per-root comparison of the mutation and Grassmannian pipelines.
 
     Every positive root contributes one report entry; a final entry
@@ -225,13 +224,14 @@ def verify_l1(c: CartanData, cap: int = 100000) -> List[dict]:
 
 # --- tensor factorization in the level-1 category ---------------------------
 
-@dataclass(frozen=True)
-class PrimeFactor:
-    """A prime tensor factor: frozen at a node, or a signed-root simple."""
+class PrimeFactor(namedtuple("PrimeFactor", "kind node gamma",
+                             defaults=(None, None))):
+    """A prime tensor factor: frozen at a node, or a signed-root simple.
 
-    kind: str            # "frozen" or "simple"
-    node: Optional[int] = None
-    gamma: Optional[tuple] = None
+    kind is "frozen" (node set) or "simple" (gamma set).
+    """
+
+    __slots__ = ()
 
     def sort_key(self):
         return (self.kind, self.node or 0, self.gamma or ())
@@ -242,8 +242,9 @@ def frozen_monomial(c: CartanData, i: int) -> YMonomial:
     return YMonomial([((i, xi), 1), ((i, xi + 2), 1)])
 
 
-def _generators(c: CartanData, graph: cluster.ExchangeGraph):
+def _generators(c: CartanData, graph):
     """All prime generators with their monomials and cluster idents."""
+    from . import cluster
     gens = []
     for i in c.nodes():
         gens.append((PrimeFactor("frozen", node=i), frozen_monomial(c, i), None))
@@ -270,7 +271,7 @@ def _gamma_of_initial(c: CartanData, i: int) -> tuple:
 
 
 def factor_simple_c1(c: CartanData, m: YMonomial,
-                     cap: int = 100000) -> List[PrimeFactor]:
+                     cap: int = 100000) -> list[PrimeFactor]:
     """Prime tensor factorization of a level-1 simple by exact cover.
 
     The factor multiset is the unique way of writing m as a product of
@@ -383,7 +384,7 @@ def unique_dominant_monomial(p: YPolynomial) -> YMonomial:
     return dom[0][0]
 
 
-def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> List[dict]:
+def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> list[dict]:
     """Experimental level >= 2 bookkeeping for the seed-to-KR dictionary.
 
     Checks that each initial vertex's KR class has the announced highest
@@ -393,6 +394,7 @@ def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> List[dict]:
     """
     if ell < 1:
         raise InvalidInputError("level must be >= 1")
+    from . import cluster
     report = []
     for i in c.nodes():
         xi = c.xi[i - 1]

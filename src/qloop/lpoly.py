@@ -25,8 +25,8 @@ construction.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from heapq import heapify, heappop, heappush
-from typing import Callable
 
 Mono = tuple
 

@@ -12,9 +12,8 @@ characteristics of their quiver Grassmannians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
-from typing import Dict, Tuple
 
 from . import linalg, lpoly, quiverrep
 from .cartan import CartanData
@@ -25,22 +24,21 @@ from .quiverrep import Quiver, QuiverRep, rep_direct_sum
 from .quiverrep import count_subrep_tuples, interpolate_at_one  # noqa: F401
 from .ymono import YMonomial, YPolynomial, a_monomial_exps
 
-Vertex = Tuple[int, int]
+Vertex = tuple[int, int]
 
 
 def in_i0hat(c: CartanData, i: int, r: int) -> bool:
     return 1 <= i <= c.n and (r - c.xi[i - 1]) % 2 == 0
 
 
-@dataclass(frozen=True)
-class ZQWindow:
-    """Finite slice of the repetition quiver with its relations."""
+class ZQWindow(namedtuple("ZQWindow", "c r_lo r_hi quiver relations")):
+    """Finite slice of the repetition quiver with its relations.
 
-    c: CartanData
-    r_lo: int
-    r_hi: int
-    quiver: Quiver    # vertices by (degree, node), descending arrows
-    relations: tuple  # vertices (i, r) with (i, r-2) inside the window
+    quiver has the vertices by (degree, node) and the descending arrows;
+    relations lists the vertices (i, r) with (i, r-2) inside the window.
+    """
+
+    __slots__ = ()
 
 
 def build_window(c: CartanData, r_lo: int, r_hi: int) -> ZQWindow:
@@ -101,7 +99,7 @@ def injective_module(window: ZQWindow, i: int, r: int) -> QuiverRep:
     if not (window.r_lo <= r <= window.r_hi):
         raise WindowTooSmallError("target vertex outside the window")
     target = (i, r)
-    out_arrows: Dict[Vertex, list] = {}
+    out_arrows: dict[Vertex, list] = {}
     for a in window.quiver.arrows:
         out_arrows.setdefault(a[0], []).append(a)
     dims = {v: 0 for v in window.quiver.vertices}

@@ -9,13 +9,12 @@ polynomial interpolation of those counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import Dict, List, Optional
 
 from . import linalg
 from .cartan import CartanData
@@ -23,12 +22,10 @@ from .errors import ConsistencyError, InvalidInputError
 from .linalg import GF, QQ
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "vertices arrows")):
     """Finite quiver: vertex labels plus (source, target) arrows."""
 
-    vertices: tuple
-    arrows: tuple
+    __slots__ = ()
 
     @classmethod
     def sink_source(cls, c: CartanData) -> "Quiver":
@@ -68,7 +65,6 @@ class Quiver:
         return order
 
 
-@dataclass
 class QuiverRep:
     """Representation: per-vertex dimension, per-arrow matrix.
 
@@ -78,19 +74,20 @@ class QuiverRep:
     in _memo, so a representation must not be changed once counted.
     """
 
-    quiver: Quiver
-    dims: dict
-    mats: dict
-    field: Optional[int] = None
-    _memo: dict = dc_field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    __slots__ = ("quiver", "dims", "mats", "field", "_memo")
 
-    def __post_init__(self):
-        for (s, t) in self.quiver.arrows:
-            m = self.mats.get((s, t))
-            ds, dt = self.dims.get(s, 0), self.dims.get(t, 0)
+    def __init__(self, quiver: Quiver, dims: dict, mats: dict,
+                 field: int | None = None):
+        self.quiver = quiver
+        self.dims = dims
+        self.mats = mats
+        self.field = field
+        self._memo = {}
+        for (s, t) in quiver.arrows:
+            m = mats.get((s, t))
+            ds, dt = dims.get(s, 0), dims.get(t, 0)
             if m is None:
-                self.mats[(s, t)] = [[0] * ds for _ in range(dt)]
+                mats[(s, t)] = [[0] * ds for _ in range(dt)]
             elif len(m) != dt or (m and any(len(r) != ds for r in m)):
                 raise InvalidInputError(f"matrix shape mismatch on arrow {s}->{t}")
 
@@ -108,7 +105,7 @@ class QuiverRep:
         return QuiverRep(self.quiver, dict(self.dims), mats, p)
 
 
-def positive_roots(c: CartanData) -> List[tuple]:
+def positive_roots(c: CartanData) -> list[tuple]:
     """Positive roots in simple-root coordinates, fixed deterministic order."""
     return list(c.positive_roots())
 
@@ -190,7 +187,7 @@ def _coxeter_plus(c: CartanData, beta: tuple) -> tuple:
     return step
 
 
-def _projective_dims(c: CartanData) -> Dict[int, tuple]:
+def _projective_dims(c: CartanData) -> dict[int, tuple]:
     pd = {}
     for i in c.nodes():
         if c.xi[i - 1] == 0:
@@ -338,7 +335,7 @@ def _ext_orthogonal(c: CartanData, b1: tuple, b2: tuple) -> bool:
     return _EXT_CACHE[key]
 
 
-def generic_decomposition(c: CartanData, d) -> List[tuple]:
+def generic_decomposition(c: CartanData, d) -> list[tuple]:
     """The unique Ext-orthogonal multiset of positive roots summing to d."""
     d = tuple(d)
     if any(x < 0 for x in d):
@@ -579,7 +576,7 @@ def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
     return _points(M, p, frozenset((key,))).get(key, 0)
 
 
-def _first_good_primes(M: QuiverRep, count: int) -> List[int]:
+def _first_good_primes(M: QuiverRep, count: int) -> list[int]:
     """First primes at which every arrow matrix keeps its rational rank.
 
     At such a prime the reduction of the integer model is a genuine
@@ -744,7 +741,7 @@ def reflect_i1(c: CartanData, beta) -> tuple:
     raise ConsistencyError(f"reflection of {beta} is not almost positive: {out}")
 
 
-def rep_direct_sum(reps: List[QuiverRep]) -> QuiverRep:
+def rep_direct_sum(reps: list[QuiverRep]) -> QuiverRep:
     """Block-diagonal direct sum of representations of one quiver."""
     if not reps:
         raise InvalidInputError("empty direct sum")

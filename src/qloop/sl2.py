@@ -9,9 +9,7 @@ general-type pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Tuple
+from collections import namedtuple
 
 from .cartan import CartanData
 from .errors import InvalidInputError, SingularityError
@@ -20,18 +18,20 @@ from .ymono import YMonomial, YPolynomial, is_dominant
 A1 = CartanData.from_label("A1")
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """The string {q^s, q^{s+2}, ..., q^{s+2k-2}} of origin s and length k."""
+class Segment(namedtuple("Segment", "origin length")):
+    """The string {q^s, q^{s+2}, ..., q^{s+2k-2}} of origin s and length k.
 
-    origin: int
-    length: int
+    Segments sort by (origin, length).
+    """
 
-    def __post_init__(self):
-        if self.length < 1:
+    __slots__ = ()
+
+    def __new__(cls, origin: int, length: int):
+        if length < 1:
             raise InvalidInputError("segment length must be >= 1")
+        return super().__new__(cls, origin, length)
 
-    def points(self) -> Tuple[int, ...]:
+    def points(self) -> tuple[int, ...]:
         return tuple(self.origin + 2 * j for j in range(self.length))
 
 
@@ -68,7 +68,7 @@ def _a_inv_sl2(s: int) -> YMonomial:
     return YMonomial([((1, s - 1), -1), ((1, s + 1), -1)])
 
 
-def canonical_segments(m: YMonomial) -> List[Segment]:
+def canonical_segments(m: YMonomial) -> list[Segment]:
     """Unique multiset of pairwise general-position segments with product m.
 
     Greedy: repeatedly extract the longest segment starting at the
@@ -113,13 +113,15 @@ def simple_qchar_sl2(m: YMonomial) -> YPolynomial:
     return result
 
 
-@dataclass(frozen=True)
 class RMatrix:
     """4x4 trigonometric R-matrix at exact rational (u, q)."""
 
-    u: Fraction
-    q: Fraction
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("u", "q", "entries")
+
+    def __init__(self, u, q, entries):
+        self.u = u
+        self.q = q
+        self.entries = entries
 
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
@@ -127,6 +129,7 @@ class RMatrix:
 
 def r_matrix_sl2(u, q) -> RMatrix:
     """Six-vertex R-matrix; invertible away from u = q^{+-2}."""
+    from fractions import Fraction
     u, q = Fraction(u), Fraction(q)
     if u == q ** 2:
         raise SingularityError(f"R(u) has a pole at u = q^2 = {q ** 2}")
@@ -144,10 +147,10 @@ def r_matrix_sl2(u, q) -> RMatrix:
     return RMatrix(u, q, rows)
 
 
-def _embed(mat4, pos: Tuple[int, int]):
+def _embed(mat4, pos: tuple[int, int]):
     """Embed a 4x4 two-site operator into (C^2)^{x3} acting on sites pos."""
     other = ({0, 1, 2} - set(pos)).pop()
-    out = [[Fraction(0)] * 8 for _ in range(8)]
+    out = [[0] * 8 for _ in range(8)]
     for row in range(8):
         rb = [(row >> (2 - t)) & 1 for t in range(3)]
         for col in range(8):
@@ -167,6 +170,7 @@ def _mul8(A, B):
 
 def verify_yang_baxter(u, v, q) -> bool:
     """Exact check of R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u)."""
+    from fractions import Fraction
     u, v, q = Fraction(u), Fraction(v), Fraction(q)
     r12 = _embed(r_matrix_sl2(u, q).entries, (0, 1))
     r13 = _embed(r_matrix_sl2(u * v, q).entries, (0, 2))

@@ -7,8 +7,6 @@ Monomials and polynomials are immutable; all arithmetic is exact.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 from . import lpoly
 from .cartan import CartanData
 from .errors import InvalidInputError
@@ -46,7 +44,7 @@ class YMonomial:
     def triples(self) -> tuple:
         return tuple((i, s, e) for (i, s), e in self.key)
 
-    def exps(self) -> Dict[Tuple[int, int], int]:
+    def exps(self) -> dict[tuple[int, int], int]:
         return dict(self.key)
 
     def __mul__(self, other: "YMonomial") -> "YMonomial":
@@ -256,7 +254,7 @@ def a_monomial(c: CartanData, i: int, s: int) -> YMonomial:
 
 
 def a_factorize(c: CartanData, numerator: YMonomial,
-                denominator: YMonomial) -> Optional[Dict[Tuple[int, int], int]]:
+                denominator: YMonomial) -> dict[tuple[int, int], int] | None:
     """Write numerator/denominator as prod A[i,s]^{v_is} with all v_is >= 0.
 
     Returns the multiset {(i,s): v_is} when it exists (equivalently,
@@ -269,7 +267,7 @@ def a_factorize(c: CartanData, numerator: YMonomial,
         return {}
     levels = [s for (_, s) in ratio]
     lo, hi = min(levels), max(levels)
-    v: Dict[Tuple[int, int], int] = {}
+    v: dict[tuple[int, int], int] = {}
     for s in range(hi - 1, lo, -1):
         for i in c.nodes():
             e = ratio.get((i, s + 1), 0)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import golden_data
 from qloop import cluster
 from qloop.cli import main
@@ -169,13 +171,55 @@ def test_iota_fingerprint_fails_on_a_wrong_type(capsys, monkeypatch):
 
 
 def test_benchmark_tracer_binds_every_layer():
+    # cli imports preproj and engine only when a command runs, so these
+    # spans show that the tracer's wrapped bindings are the ones reached
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
-        [sys.executable, "perfbench/tracer.py", "sl2", "kr", "--k", "1",
-         "--s", "0"], cwd=root, env=env, capture_output=True, text=True)
+    prefix = "perfbench-trace "
+    for argv, span in (
+            (("sl2", "kr", "--k", "1", "--s", "0"), "cli"),
+            (("qchar", "fundamental", "--type", "A2", "--node", "1",
+              "--shift", "0"), "preproj.qchar"),
+            (("verify", "tsystem", "--type", "A2", "--node", "1", "--k", "1",
+              "--s", "0"), "engine.verify_tsystem")):
+        out = subprocess.run([sys.executable, "perfbench/tracer.py", *argv],
+                             cwd=root, env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        last = out.stderr.splitlines()[-1]
+        assert last.startswith(prefix)
+        trace = json.loads(last[len(prefix):])
+        assert span in {trace["names"][n] for n in trace["spans"][::4]}, argv
+
+
+# Modules each command must not load.  No command loads `dataclasses` or
+# `typing`: every process compiles what it imports when no bytecode is
+# written.
+_UNUSED_MODULES = (
+    (("sl2", "kr", "--k", "1", "--s", "0"),
+     {"qloop.quiverrep", "qloop.linalg", "qloop.preproj", "qloop.engine",
+      "qloop.cluster", "fractions"}),
+    (("qchar", "fundamental", "--type", "A2", "--node", "1", "--shift", "0"),
+     {"qloop.engine", "qloop.cluster", "qloop.sl2"}),
+    (("verify", "tsystem", "--type", "A2", "--node", "1", "--k", "1",
+      "--s", "0"), {"qloop.cluster", "qloop.sl2"}),
+    (("verify", "l1", "--type", "A2"), set()),
+)
+
+
+@pytest.mark.parametrize("argv, unused", _UNUSED_MODULES)
+def test_command_loads_only_what_it_runs(argv, unused):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # -S: no `site`, which would load modules of its own
+    script = ("import sys\nfrom qloop.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(*sys.modules, file=sys.stderr)\nsys.exit(code)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stderr.splitlines()[-1].startswith("perfbench-trace ")
+    loaded = set(out.stderr.split())
+    assert "qloop.cli" in loaded
+    assert not loaded & (unused | {"dataclasses", "typing"}), sorted(loaded)
 
 
 def test_console_script_runs_in_a_subprocess():
