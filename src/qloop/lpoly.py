@@ -26,7 +26,7 @@ construction.
 from __future__ import annotations
 
 from collections.abc import Callable
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 Mono = tuple
 
@@ -121,8 +121,8 @@ def _box(monos) -> tuple:
     """Digit-wise minimum and maximum of nonempty packed monomials.
 
     Absent keys count as exponent 0.  Each digit is lifted into
-    [1, 2**(W-1)), and one subtraction per monomial compares all digits
-    at once through their guard bits.
+    [1, 2**(W-1)), and one subtraction per bound compares all digits
+    at once through their guard bits and holds each digit's step.
     """
     ones = _ones()
     lift = ones << (_W - 2)
@@ -131,12 +131,12 @@ def _box(monos) -> tuple:
     lo = hi = next(it) + lift
     for p in it:
         y = p + lift
-        g = ((hi | guard) - y) & guard      # digits where hi >= y
-        keep = g - (g >> (_W - 1))
-        hi = (hi & keep) | (y & ~keep)
-        g = ((lo | guard) - y) & guard      # digits where lo >= y
-        take = g - (g >> (_W - 1))
-        lo = (y & take) | (lo & ~take)
+        d = (hi | guard) - y        # digits hi - y + 2**(W-1)
+        g = d & guard               # guard bits where hi >= y
+        hi = y + (d & (g - (g >> (_W - 1))))
+        d = (y | guard) - lo        # digits y - lo + 2**(W-1)
+        g = d & guard               # guard bits where y >= lo
+        lo = y - (d & (g - (g >> (_W - 1))))
     return lo - lift, hi - lift
 
 
@@ -372,7 +372,10 @@ class LPoly:
 def _long_division(f: LPoly, g: LPoly) -> LPoly:
     """f / g for a divisor of two or more terms, by leading terms.
 
-    The remainder's leading monomial comes off a heap of packed ints.
+    The remainder's leading monomial comes from two descending streams:
+    f's monomials, sorted once, and a heap of remainder monomials absent
+    from f.  New remainder monomials lie below the current one, so each
+    is visited once; a cancelled one keeps coefficient 0 until then.
     Every quotient term must lie digit by digit in the box
     [min f - min g, max f - max g]: every exact quotient does (Newton
     polytopes add), the remainder then stays inside f's box so no digit
@@ -394,12 +397,16 @@ def _long_division(f: LPoly, g: LPoly) -> LPoly:
     cg = g.terms[lg]
     rest = [(p, c) for p, c in g.terms.items() if p != lg]
     r = dict(f.terms)
-    heap = [-p for p in r]
-    heapify(heap)
+    walk = iter(sorted(r, reverse=True))
+    lf = next(walk, None)
+    heap = []
     quotient = {}
-    while heap:
-        lr = -heappop(heap)
-        cr = r.pop(lr, 0)
+    while lf is not None or heap:
+        if heap and (lf is None or -heap[0] > lf):
+            lr = -heappop(heap)
+        else:
+            lr, lf = lf, next(walk, None)
+        cr = r.pop(lr)
         if not cr:
             continue
         t = lr - lg
@@ -413,10 +420,7 @@ def _long_division(f: LPoly, g: LPoly) -> LPoly:
             p += t
             old = r.get(p)
             if old is None:
-                r[p] = -ct * c
                 heappush(heap, -p)
-            elif old == ct * c:
-                del r[p]
-            else:
-                r[p] = old - ct * c
+                old = 0
+            r[p] = old - ct * c
     return _packed(quotient, bound)

@@ -146,6 +146,19 @@ def test_verify_commands(capsys):
     assert code == 0
 
 
+def test_tsystem_invalid_input_exits_2_before_any_work(capsys, monkeypatch):
+    from qloop import engine
+
+    def no_work(*args):
+        raise AssertionError("a T-system step ran")
+
+    monkeypatch.setattr(engine, "_tsystem_step", no_work)
+    for node, k in (("9", "1"), ("3", "0")):
+        code, out, err = run(capsys, "verify", "tsystem", "--type", "D4",
+                             "--node", node, "--k", k, "--s", "0")
+        assert code == 2 and out == "" and "error" in err, (node, k)
+
+
 def test_cap_exceeded_is_reported(capsys):
     code, _, err = run(capsys, "cluster", "enumerate", "--type", "A3",
                        "--level", "1", "--seed-cap", "3")

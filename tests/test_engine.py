@@ -5,14 +5,15 @@ import pytest
 
 import golden_data
 from test_euler_series import loose_bound_euler
-from qloop import engine
+from qloop import engine, lpoly
 from qloop.cartan import CartanData
 from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
                           frozen_monomial, gr_series, kr_qchar, level1_graph,
                           simple_trunc_qchar_c1, trunc_qchar_c1,
                           unique_dominant_monomial, verify_iota, verify_l1,
                           verify_tsystem, y_alpha)
-from qloop.errors import InvalidInputError
+from qloop.cli import main
+from qloop.errors import ConsistencyError, InvalidInputError
 from qloop.lpoly import LPoly
 from qloop.quiverrep import euler_series, indecomposable_rep
 from qloop.sl2 import kr_qchar_sl2
@@ -22,6 +23,7 @@ from qloop.ymono import (YMonomial, YPolynomial, dominant_terms,
 A1 = CartanData.from_label("A1")
 A2 = CartanData.from_label("A2")
 A3 = CartanData.from_label("A3")
+A4 = CartanData.from_label("A4")
 D4 = CartanData.from_label("D4")
 
 
@@ -68,6 +70,25 @@ def test_kr_cache_is_normalized_by_shift(monkeypatch):
         (A3, i, k) for i in A3.nodes() for k in range(4)]
 
 
+def _kr_keys(c, i, k):
+    """The (c, i, k) keys the T-system recursion for T_k of node i reads."""
+    keys = {(c, i, k)}
+    if k >= 2:
+        for j in (i, *c.neighbors(i)):
+            keys |= _kr_keys(c, j, k - 1)
+        keys |= _kr_keys(c, i, k - 2)
+    return keys
+
+
+@pytest.mark.parametrize("c, i", [(D4, 3), (A4, 2)], ids=["D4-3", "A4-2"])
+def test_shared_tsystem_step_matches_the_uncached_recursion(monkeypatch, c, i):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    for s in (c.xi[i - 1], c.xi[i - 1] + 6):
+        assert kr_qchar(c, KRLabel(i, 3, s)) == _kr_direct(c, i, 3, s)
+    assert verify_tsystem(c, i, 2, 37)
+    assert set(engine._KR_CACHE) == _kr_keys(c, i, 3)
+
+
 def test_kr_a3_length_two_is_minuscule():
     poly = kr_qchar(A3, KRLabel(1, 2, 0))
     assert unique_dominant_monomial(poly) == Y((1, 0, 1), (1, 2, 1))
@@ -107,6 +128,57 @@ def test_tsystem_d4_small():
 def test_tsystem_rejects_zero_length():
     with pytest.raises(InvalidInputError):
         verify_tsystem(A2, 1, 0, 0)
+
+
+def test_tsystem_check_fails_on_a_wrong_quotient(monkeypatch, capsys):
+    real = lpoly._long_division
+
+    def off_by_one(f, g):
+        q = real(f, g)
+        return q + LPoly.monomial(q.items()[0][0])
+
+    monkeypatch.setattr(lpoly, "_long_division", off_by_one)
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    assert not verify_tsystem(D4, 3, 2, 0)
+    code = main(["verify", "tsystem", "--type", "D4", "--node", "3",
+                 "--k", "2", "--s", "0"])
+    assert code == 1 and capsys.readouterr().out == "FAIL\n"
+
+
+def test_tsystem_check_fails_on_a_lossy_subtraction(monkeypatch):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    assert verify_tsystem(D4, 3, 2, 0)
+    real = LPoly.__sub__
+
+    def lossy(self, other):
+        out = real(self, other)
+        m, c = out.items()[0]
+        return out + LPoly.monomial(m, -c)
+
+    monkeypatch.setattr(LPoly, "__sub__", lossy)
+    # at k = 1 the divisor is 1, so only the identity itself can notice
+    assert not verify_tsystem(D4, 3, 1, 0)
+    try:
+        ok = verify_tsystem(D4, 3, 2, 0)
+    except ConsistencyError:
+        ok = False
+    assert not ok
+
+
+def test_tsystem_inexact_numerator_names_its_step(monkeypatch):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    t2 = kr_qchar(D4, KRLabel(3, 2, 0))
+    engine._KR_CACHE[(D4, 3, 2)] = t2 + 1
+    with pytest.raises(ConsistencyError, match=r"T-system division failed "
+                       r"at \(i=3, k=3, s=0\): inexact"):
+        verify_tsystem(D4, 3, 2, 0)
+
+
+@pytest.mark.slow
+def test_tsystem_d4_central_node_at_length_three(monkeypatch):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    assert verify_tsystem(D4, 3, 3, 0)
+    assert engine._KR_CACHE[(D4, 3, 4)].n_monomials() == 9885
 
 
 def test_y_alpha_examples():

@@ -1,7 +1,9 @@
 import random
+from heapq import heappush
 
 import pytest
 
+from qloop import lpoly
 from qloop.lpoly import EXP_MAX, LPoly, mono, mono_mul, mono_pow
 
 # The three key shapes the package uses: plain names, (node, shift)
@@ -167,6 +169,42 @@ def test_inexact_division_raises():
         (2 * x + 1).exact_div(LPoly.const(2))
     with pytest.raises(ZeroDivisionError):
         x.exact_div(LPoly.zero())
+
+
+def test_divisions_through_monomials_absent_from_the_dividend(monkeypatch):
+    # Signed coefficients let the remainder reach monomials that f lacks;
+    # those come off the division's side heap, counted here.
+    pushed = []
+    monkeypatch.setattr(lpoly, "heappush",
+                        lambda heap, p: (pushed.append(p), heappush(heap, p)))
+    y = LPoly.var("side_y")
+    x = LPoly.var("side_x")     # interned after y: x leads
+    xy = {(("side_x", 1),): 1, (("side_y", 1),): 1}
+    q = naive_mul(xy, {**xy, (): 1})
+    g = {(("side_x", 1),): 1, (("side_y", 1),): -1}
+    f = naive_mul(naive_mul(xy, g), {**xy, (): 1})
+    assert LPoly(f).exact_div(LPoly(g)).canonical() == as_canonical(q)
+    assert LPoly(f) == (x * x - y * y) * (x + y + 1) and pushed
+    del pushed[:]
+    rng = random.Random(17)
+    keys = ["side_x", "side_y"]
+    for _ in range(60):
+        q = rand_terms(rng, keys, rng.randint(1, 6))
+        g = rand_terms(rng, keys, rng.randint(2, 4))
+        if len(g) < 2:
+            continue
+        quotient = LPoly(naive_mul(q, g)).exact_div(LPoly(g))
+        assert quotient.canonical() == as_canonical(q)
+    assert pushed
+    # x^2 + y^2 = (x - y)(x + y) + 2y^2: the walk meets xy, then y^2 / x
+    # leaves the box; 2x^2 + y^2 over 2x - y meets xy with coefficient 1
+    for f, g, msg in ((x * x + y * y, x - y, "monomial"),
+                      (2 * x * x + y * y, 2 * x - y, "coefficient")):
+        del pushed[:]
+        with pytest.raises(ValueError,
+                           match=rf"inexact polynomial division \({msg}\)"):
+            f.exact_div(g)
+        assert pushed, msg
 
 
 def test_laurent_division_with_negative_exponents():
