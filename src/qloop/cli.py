@@ -169,14 +169,14 @@ def _run(args) -> int:
                   ("pass" if ok else "FAIL"))
             return 0 if ok else 1
     if args.group == "rep":
-        from . import quiverrep
         c = _cartan(args.type)
         if args.command == "roots":
-            roots = quiverrep.positive_roots(c)
+            roots = c.positive_roots()
             print(json.dumps([list(r) for r in roots]) if fmt == "json"
                   else "\n".join(",".join(map(str, r)) for r in roots))
             return 0
         if args.command == "euler":
+            from . import quiverrep
             beta = _csv_ints(args.beta)
             nu = _csv_ints(args.nu)
             if len(beta) != c.n or len(nu) != c.n:

@@ -4,13 +4,13 @@ Seeds carry a sparse exchange matrix over labelled vertices and exact
 Laurent expansions of the mutable variables in the initial ones.  The
 exchange graph is enumerated on integers alone: each seed there is its
 mutable exchange matrix, C-matrix and G-matrix, a cluster variable is
-identified by its g-vector, and a cluster by its set of variables.  A
-variable's Laurent expansion and denominator vector are built only
-when read, by replaying its mutation path.  The level-ell initial seed
-glues the descending arrows of the repetition quiver to vertical
-translation arrows and freezes the bottom row.  F-polynomials are read
-off by replaying mutation paths on a principal-coefficient copy of the
-seed, and the g-vector read there must equal the enumerated one.
+identified by its g-vector, and a cluster by its set of variables.  The
+level-ell initial seed glues the descending arrows of the repetition
+quiver to vertical translation arrows and freezes the bottom row.  A
+variable is expanded only when read, by replaying its mutation path
+once on a principal-coefficient copy of the initial seed; its
+denominator vector and its F-polynomial are both read off that one
+expansion, and the g-vector read there must equal the enumerated one.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
 class ClusterVariable:
     """A non-frozen cluster variable found during enumeration.
 
-    The expansion in the initial variables and the denominator vector
-    are built on first read, by replaying the path from the seed.
+    Its expansion with principal coefficients and its denominator vector
+    are built on first read, by one replay of the path.
     """
 
     def __init__(self, ident: str, gvector: tuple, path: tuple,
@@ -143,15 +143,27 @@ class ClusterVariable:
         self.alt_vertex = None
 
     @cached_property
-    def expansion(self) -> LPoly:
-        replay = self.seed
+    def principal(self) -> LPoly:
+        """The expansion at the principal-coefficient copy of the seed."""
+        replay = _principal_seed(self.seed)
         for k in self.path:
             replay = mutate(replay, k)
         return replay.var(self.vertex)
 
     @cached_property
     def dvector(self) -> tuple:
-        return tuple(-self.expansion.min_exponent(("z",) + v)
+        """Minus the least exponent of each mutable initial variable.
+
+        By the separation formula (Fomin and Zelevinsky, Cluster algebras
+        IV, Thm 3.7 and Cor 6.3) the principal expansion is x^g F(y-hat)
+        and the seed's own is x^g F(y-hat) divided by a monomial in the
+        frozen variables, with the same g and F; the two y-hats differ
+        only in their coefficients, the y_j in one and frozen monomials
+        in the other.  F has positive coefficients (Lee and Schiffler,
+        Ann. of Math. 2015), so no term cancels in either, and both have
+        the same exponents in the mutable initial variables.
+        """
+        return tuple(-self.principal.min_exponent(("z",) + v)
                      for v in self.seed.mutable)
 
 
@@ -298,17 +310,13 @@ def _principal_seed(seed: Seed) -> Seed:
 
 
 def f_polynomial_and_gvector(seed0: Seed, cv: ClusterVariable):
-    """F-polynomial and g-vector by replaying the path with principal
-    coefficients at the initial seed.
+    """F-polynomial and g-vector, read off cv's principal expansion.
 
     The F-polynomial comes back keyed by the mutable vertices; the
     g-vector follows the order of seed0.mutable and must equal the
     tropical cv.gvector.
     """
-    princ = _principal_seed(seed0)
-    for k in cv.path:
-        princ = mutate(princ, k)
-    x = princ.var(cv.vertex)
+    x = cv.principal
     g = _gvector(seed0, x)
     if g != cv.gvector:
         raise InvalidInputError("variable is not reachable from this seed "
@@ -327,7 +335,7 @@ def _gvector(seed0: Seed, expansion: LPoly) -> tuple:
     ydeg = {("y",) + v: [-b.get((w, v), 0) for w in mutable]
             for v in mutable}
     degree = None
-    for m, _ in expansion.items():
+    for m in expansion.monomials():
         deg = [0] * len(mutable)
         for key, e in m:
             if key in index:

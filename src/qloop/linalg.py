@@ -3,7 +3,7 @@
 Matrices are lists of row lists acting on column vectors.  Subspaces of
 F_p^n are represented by basis matrices, one basis vector per row; a
 basis is not canonical unless it is the row set of an `rref`.  Over F_p
-every entry is a plain int reduced with `% p`.
+entries are plain ints, and the functions given a GF reduce them `% p`.
 """
 
 from __future__ import annotations

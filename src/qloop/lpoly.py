@@ -246,6 +246,10 @@ class LPoly:
     def items(self):
         return list(self.canonical())
 
+    def monomials(self):
+        """The tuple monomials of the terms, unsorted and not cached."""
+        return map(_decode, self.terms)
+
     def coeff(self, m: Mono) -> int:
         return self.terms.get(_encode(m)[0], 0)
 
@@ -255,24 +259,27 @@ class LPoly:
     def __neg__(self) -> "LPoly":
         return _packed({p: -c for p, c in self.terms.items()}, self._bound)
 
-    def __add__(self, other) -> "LPoly":
+    def _plus(self, other, sign: int) -> "LPoly":
+        """self + sign * other, in one pass over other's terms."""
         if isinstance(other, int):
             other = LPoly.const(other)
         data = dict(self.terms)
+        get = data.get
         for p, c in other.terms.items():
-            nc = data.get(p, 0) + c
+            nc = get(p, 0) + sign * c
             if nc:
                 data[p] = nc
             else:
-                data.pop(p, None)
+                del data[p]
         return _packed(data, max(self._bound, other._bound))
+
+    def __add__(self, other) -> "LPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LPoly":
-        if isinstance(other, int):
-            other = LPoly.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "LPoly":
         return (-self) + other

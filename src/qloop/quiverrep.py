@@ -1,10 +1,12 @@
-"""Representations of Dynkin quivers over Q and prime fields.
+"""Representations of Dynkin quivers, as integer matrices.
 
 Provides indecomposables indexed by positive roots (built with
 reflection functors in the bipartite sink-source orientation), exact
 Hom/Ext dimensions, generic decompositions, and quiver-Grassmannian
 point counts over F_p together with Euler characteristics obtained by
-polynomial interpolation of those counts.
+polynomial interpolation of those counts.  A representation is its
+integer model alone: Hom and the rational ranks read it over Q, and a
+walk over F_p reduces each entry it reads, so no copy mod p is kept.
 """
 
 from __future__ import annotations
@@ -66,22 +68,21 @@ class Quiver(namedtuple("Quiver", "vertices arrows")):
 
 
 class QuiverRep:
-    """Representation: per-vertex dimension, per-arrow matrix.
+    """Representation: per-vertex dimension, per-arrow integer matrix.
 
-    field is None for Q (integer matrices expected) or a prime p.
-    Matrices have shape (dim target) x (dim source).  The counting data
-    derived from them (walk order, ranks, reductions mod p) is memoized
-    in _memo, so a representation must not be changed once counted.
+    Matrices have shape (dim target) x (dim source); they are read over
+    Q, or over F_p with every entry taken mod p.  The counting data
+    derived from them (walk order, ranks over Q and each F_p, point
+    counts) is memoized in _memo, so a representation must not be
+    changed once counted.
     """
 
-    __slots__ = ("quiver", "dims", "mats", "field", "_memo")
+    __slots__ = ("quiver", "dims", "mats", "_memo")
 
-    def __init__(self, quiver: Quiver, dims: dict, mats: dict,
-                 field: int | None = None):
+    def __init__(self, quiver: Quiver, dims: dict, mats: dict):
         self.quiver = quiver
         self.dims = dims
         self.mats = mats
-        self.field = field
         self._memo = {}
         for (s, t) in quiver.arrows:
             m = mats.get((s, t))
@@ -96,18 +97,6 @@ class QuiverRep:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def reduce_mod(self, p: int) -> "QuiverRep":
-        if self.field is not None:
-            raise InvalidInputError("representation is already modular")
-        mats = {a: [[x % p for x in row] for row in m]
-                for a, m in self.mats.items()}
-        return QuiverRep(self.quiver, dict(self.dims), mats, p)
-
-
-def positive_roots(c: CartanData) -> list[tuple]:
-    """Positive roots in simple-root coordinates, fixed deterministic order."""
-    return list(c.positive_roots())
 
 
 def euler_form(quiver: Quiver, d, e) -> int:
@@ -290,9 +279,8 @@ def _integerize(c: CartanData, spaces, mats):
 
 def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     """dim Hom(M, N), by solving the commuting-square system exactly."""
-    if M.quiver != N.quiver or M.field != N.field:
-        raise InvalidInputError("representations live over different data")
-    field = QQ if M.field is None else GF(M.field)
+    if M.quiver != N.quiver:
+        raise InvalidInputError("representations live over different quivers")
     verts = list(M.quiver.vertices)
     offsets = {}
     total = 0
@@ -316,7 +304,7 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
                 rows.append(row)
     if not rows:
         return total
-    return total - linalg.rank(rows, field)
+    return total - linalg.rank(rows, QQ)
 
 
 def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
@@ -536,25 +524,18 @@ def _support_walk(M: QuiverRep):
     return _memoized(M, "walk", make)
 
 
-def arrow_ranks(M: QuiverRep) -> dict:
-    """Rank of every nonempty arrow matrix, over M's field."""
-    field = QQ if M.field is None else GF(M.field)
-    return _memoized(M, "ranks", lambda: {
+def arrow_ranks(M: QuiverRep, p: int | None = None) -> dict:
+    """Rank of every nonempty arrow matrix, over Q, or over F_p given p."""
+    field = QQ if p is None else GF(p)
+    return _memoized(M, ("ranks", p), lambda: {
         a: linalg.rank(m, field) for a, m in M.mats.items() if m})
-
-
-def _reduction(M: QuiverRep, p: int) -> QuiverRep:
-    if M.field == p:
-        return M
-    return _memoized(M, ("mod", p), lambda: M.reduce_mod(p))
 
 
 def _points(M: QuiverRep, p: int, nus=None) -> dict:
     """{nu: point count over F_p}: one walk of M mod p, of every nu or nus."""
     def make():
-        rep = _reduction(M, p)
         order, arrows = _support_walk(M)
-        return count_subrep_tuples(order, arrows, rep.dims, rep.mats, p, nus)
+        return count_subrep_tuples(order, arrows, M.dims, M.mats, p, nus)
     return _memoized(M, ("points", p, nus), make)
 
 
@@ -571,8 +552,6 @@ def _nu_key(M: QuiverRep, nu) -> tuple:
 def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
     """Point count of the subrepresentation Grassmannian over F_p."""
     key = _nu_key(M, nu)
-    if M.field not in (None, p):
-        raise InvalidInputError("representation is over a different prime")
     return _points(M, p, frozenset((key,))).get(key, 0)
 
 
@@ -586,8 +565,7 @@ def _first_good_primes(M: QuiverRep, count: int) -> list[int]:
     primes = []
     p = 2
     while len(primes) < count:
-        if _memoized(M, ("good", p), lambda: arrow_ranks(
-                _reduction(M, p)) == q_ranks):
+        if arrow_ranks(M, p) == q_ranks:
             primes.append(p)
         p = _next_prime(p)
     return primes
@@ -688,8 +666,6 @@ def euler_series(M: QuiverRep) -> dict:
 
 def _fit_series(M: QuiverRep, nus) -> dict:
     """euler_series at the nu of the set nus (at every nu when None)."""
-    if M.field is not None:
-        raise InvalidInputError("Euler characteristics need a rational model")
     primes = _first_good_primes(M, 1)
     counts = _points(M, primes[0], nus)
     points = {nu: [] for nu in counts}
@@ -745,9 +721,9 @@ def rep_direct_sum(reps: list[QuiverRep]) -> QuiverRep:
     """Block-diagonal direct sum of representations of one quiver."""
     if not reps:
         raise InvalidInputError("empty direct sum")
-    quiver, field = reps[0].quiver, reps[0].field
-    if any(r.quiver != quiver or r.field != field for r in reps):
-        raise InvalidInputError("summands live over different data")
+    quiver = reps[0].quiver
+    if any(r.quiver != quiver for r in reps):
+        raise InvalidInputError("summands live over different quivers")
     dims = {v: sum(r.dims.get(v, 0) for r in reps) for v in quiver.vertices}
     mats = {}
     for a in quiver.arrows:
@@ -761,4 +737,4 @@ def rep_direct_sum(reps: list[QuiverRep]) -> QuiverRep:
                             + [0] * (dims[s] - col_off - width))
             col_off += width
         mats[a] = rows
-    return QuiverRep(quiver, dims, mats, field)
+    return QuiverRep(quiver, dims, mats)

@@ -1,0 +1,17 @@
+"""The seed's own replay of a cluster variable, as a test oracle.
+
+`qloop.cluster` replays a variable's path only on the principal-
+coefficient copy of its seed.  The replay on the seed itself, frozen
+variables and all, is kept here to check the denominator vectors and
+expansions read off the principal one.
+"""
+
+from qloop.cluster import mutate
+
+
+def frozen_expansion(cv):
+    """cv's Laurent expansion in the initial variables of its seed."""
+    seed = cv.seed
+    for k in cv.path:
+        seed = mutate(seed, k)
+    return seed.var(cv.vertex)

@@ -204,6 +204,20 @@ def test_benchmark_tracer_binds_every_layer():
         assert span in {trace["names"][n] for n in trace["spans"][::4]}, argv
 
 
+def test_benchmark_tracer_keeps_stdout(capsys):
+    # the tracer setattrs every binding it wraps, so a binding gone from
+    # qloop fails its traced pass before any command runs
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ("rep", "euler", "--type", "D4", "--beta", "1,1,2,1",
+            "--nu", "0,0,1,0")
+    out = subprocess.run([sys.executable, "perfbench/tracer.py", *argv],
+                         cwd=root, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == run(capsys, *argv)[1]
+    assert out.stderr.splitlines()[-1].startswith("perfbench-trace ")
+
+
 # Modules each command must not load.  No command loads `dataclasses` or
 # `typing`: every process compiles what it imports when no bytecode is
 # written.
@@ -216,6 +230,8 @@ _UNUSED_MODULES = (
     (("verify", "tsystem", "--type", "A2", "--node", "1", "--k", "1",
       "--s", "0"), {"qloop.cluster", "qloop.sl2"}),
     (("verify", "l1", "--type", "A2"), set()),
+    (("rep", "roots", "--type", "A2"),
+     {"qloop.quiverrep", "qloop.linalg", "fractions"}),
 )
 
 

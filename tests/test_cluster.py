@@ -3,6 +3,8 @@ from collections import deque
 
 import pytest
 
+from cluster_oracle import frozen_expansion
+from qloop import cluster
 from qloop.cartan import CartanData
 from qloop.cluster import (ClusterVariable, _gvector, _principal_seed,
                            classify_finite_type,
@@ -178,8 +180,9 @@ def test_enumeration_matches_the_canonical_form_oracle(label, level,
     seed = gamma_seed(CartanData.from_label(label), level)
     graph = enumerate_exchange_graph(seed)
     found, oracle_clusters, oracle_adjacency = _oracle_exchange_graph(seed)
-    assert [(cv.ident, cv.expansion, cv.path, cv.vertex, cv.alt_path,
-             cv.alt_vertex) for cv in graph.variables.values()] == found
+    assert [(cv.ident, frozen_expansion(cv), cv.path, cv.vertex,
+             cv.alt_path, cv.alt_vertex)
+            for cv in graph.variables.values()] == found
     assert graph.clusters == oracle_clusters
     assert len(graph.clusters) == clusters
     assert graph.adjacency == oracle_adjacency
@@ -227,11 +230,41 @@ def test_enumeration_cap():
 def test_laurent_phenomenon():
     graph = enumerate_exchange_graph(gamma_seed(A3, 1))
     for cv in graph.variables.values():
+        x = frozen_expansion(cv)
         for v, d in zip(graph.seed.mutable, cv.dvector):
-            assert cv.expansion.min_exponent(ring_key(v)) == -d
+            assert x.min_exponent(ring_key(v)) == -d
         for v in graph.seed.frozen:
-            assert cv.expansion.min_exponent(ring_key(v)) >= 0
-        assert all(c > 0 for _, c in cv.expansion.items())
+            assert x.min_exponent(ring_key(v)) >= 0
+        assert all(c > 0 for _, c in x.items())
+
+
+@pytest.mark.parametrize("label,level", [
+    ("D4", 1), ("E6", 1), ("A3", 2), ("A2", 3),
+    pytest.param("A4", 2, marks=pytest.mark.slow),
+])
+def test_dvectors_match_the_frozen_replay(label, level):
+    graph = enumerate_exchange_graph(
+        gamma_seed(CartanData.from_label(label), level))
+    for cv in graph.variables.values():
+        x = frozen_expansion(cv)
+        assert cv.dvector == tuple(-x.min_exponent(ring_key(v))
+                                   for v in graph.seed.mutable), cv.ident
+
+
+def test_a_variable_is_replayed_once(monkeypatch):
+    graph = enumerate_exchange_graph(gamma_seed(D4, 1))
+    cv = max(graph.variables.values(), key=lambda cv: len(cv.path))
+    calls = []
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(cluster, "mutate", counted)
+    assert any(cv.dvector)
+    f_polynomial_and_gvector(graph.seed, cv)
+    f_polynomial_and_gvector(graph.seed, cv)
+    assert calls == list(cv.path)
 
 
 def test_fpoly_of_initial_variable():
@@ -289,7 +322,8 @@ def test_fpoly_is_path_independent():
     for cv in rng.sample(with_alt, min(10, len(with_alt))):
         other = ClusterVariable(cv.ident, cv.gvector, cv.alt_path,
                                 cv.alt_vertex, s)
-        assert other.expansion == cv.expansion
+        assert frozen_expansion(other) == frozen_expansion(cv)
+        assert other.principal == cv.principal
         assert other.dvector == cv.dvector
         assert (f_polynomial_and_gvector(s, other)
                 == f_polynomial_and_gvector(s, cv))

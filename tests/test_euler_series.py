@@ -220,17 +220,15 @@ def _check_walks_of_nu_sets(M):
     order, arrows = _support_walk(M)
     for p in (2, 3, 5):
         free = _points(M, p)
-        rep = M.reduce_mod(p)
-        assert free == _reference_walk(order, arrows, rep.dims, rep.mats,
-                                       p), p
+        assert free == _reference_walk(order, arrows, M.dims, M.mats, p), p
         asked = frozenset(nu for nu, ps in primes_of.items() if p in ps)
         heaviest = frozenset([max(free, key=free.get)])
         for nus in (asked, heaviest):
-            walk = count_subrep_tuples(order, arrows, rep.dims, rep.mats,
-                                       p, nus)
+            walk = count_subrep_tuples(order, arrows, M.dims, M.mats, p,
+                                       nus)
             assert walk == {nu: n for nu, n in free.items() if nu in nus}, p
-            assert walk == _reference_walk(order, arrows, rep.dims,
-                                           rep.mats, p, nus), p
+            assert walk == _reference_walk(order, arrows, M.dims, M.mats,
+                                           p, nus), p
 
 
 def _swept_series(M):
@@ -275,7 +273,6 @@ def test_euler_series_matches_sweep_on_larger_injectives(label, i):
 def test_a_free_walk_reads_its_subspaces_from_tables(monkeypatch):
     # without tables this walk takes 4182 rrefs, about one per walk node
     delta = _fundamental_injective(CartanData.from_label("E6"), 3)
-    rep = delta.reduce_mod(2)
     order, arrows = _support_walk(delta)
     calls = []
     rref = linalg.rref
@@ -285,7 +282,7 @@ def test_a_free_walk_reads_its_subspaces_from_tables(monkeypatch):
         return rref(rows, field)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    counts = count_subrep_tuples(order, arrows, rep.dims, rep.mats, 2)
+    counts = count_subrep_tuples(order, arrows, delta.dims, delta.mats, 2)
     assert (len(counts), sum(counts.values())) == (351, 405)
     assert len(calls) < 1000
 

@@ -57,6 +57,9 @@ def test_products_match_naive_oracle():
         a = rand_terms(rng, keys, rng.randint(0, 6))
         b = rand_terms(rng, keys, rng.randint(0, 6))
         prod = LPoly(a) * LPoly(b)
+        assert sorted(prod.monomials()) == sorted(naive_mul(a, b))
+        # monomials() leaves no sorted form cached on the polynomial
+        assert prod._canon is None
         assert prod.canonical() == as_canonical(naive_mul(a, b))
         assert prod.items() == list(as_canonical(naive_mul(a, b)))
         assert 0 not in prod.terms.values()

@@ -8,12 +8,11 @@ from qloop.cartan import CartanData
 from qloop.errors import ConsistencyError, InvalidInputError
 from qloop.linalg import GF
 from qloop.preproj import build_window, injective_module
-from qloop.quiverrep import (Quiver, QuiverRep, _support_walk,
+from qloop.quiverrep import (Quiver, QuiverRep, _points, _support_walk,
                              count_subrep_tuples, ext1_dim, euler_form,
                              generic_decomposition, grassmannian_count_fq,
                              grassmannian_euler, hom_dim, indecomposable_rep,
-                             interpolate_at_one, positive_roots, reflect_i1,
-                             rep_direct_sum)
+                             interpolate_at_one, reflect_i1, rep_direct_sum)
 
 A2 = CartanData.from_label("A2")
 A3 = CartanData.from_label("A3")
@@ -25,9 +24,9 @@ def simple(c, i):
 
 
 def test_positive_roots_examples():
-    assert positive_roots(A2) == [(0, 1), (1, 0), (1, 1)]
-    assert len(positive_roots(A3)) == 6
-    d4_roots = positive_roots(D4)
+    assert A2.positive_roots() == ((0, 1), (1, 0), (1, 1))
+    assert len(A3.positive_roots()) == 6
+    d4_roots = D4.positive_roots()
     assert len(d4_roots) == 12
     assert (1, 1, 2, 1) in d4_roots
 
@@ -68,7 +67,7 @@ def test_indecomposable_rejects_non_roots():
 
 def test_every_root_gives_a_rigid_indecomposable():
     for c in (A2, A3, D4):
-        for beta in positive_roots(c):
+        for beta in c.positive_roots():
             m = indecomposable_rep(c, beta)
             assert m.dim_vector() == beta
             assert hom_dim(m, m) == 1
@@ -94,7 +93,7 @@ def test_hom_rejects_mismatched_data():
 def test_euler_form_is_one_on_roots():
     for c in (A2, A3, D4):
         q = Quiver.sink_source(c)
-        for beta in positive_roots(c):
+        for beta in c.positive_roots():
             assert euler_form(q, beta, beta) == 1
 
 
@@ -103,7 +102,7 @@ def test_generic_decomposition_examples():
     assert generic_decomposition(A2, (2, 1)) == [(1, 1), (1, 0)]
     assert generic_decomposition(A2, (0, 0)) == []
     for c in (A2, A3, D4):
-        for beta in positive_roots(c):
+        for beta in c.positive_roots():
             assert generic_decomposition(c, beta) == [beta]
 
 
@@ -317,7 +316,7 @@ def test_euler_examples():
 
 def test_euler_nonnegative_on_indecomposables():
     for c in (A2, A3, D4):
-        for beta in positive_roots(c):
+        for beta in c.positive_roots():
             m = indecomposable_rep(c, beta)
             for nu in itertools.product(*[range(d + 1)
                                           for d in m.dim_vector()]):
@@ -326,7 +325,7 @@ def test_euler_nonnegative_on_indecomposables():
 
 def test_type_a_grassmannians_are_points():
     for c in (A2, A3):
-        for beta in positive_roots(c):
+        for beta in c.positive_roots():
             m = indecomposable_rep(c, beta)
             for nu in itertools.product(*[range(d + 1)
                                           for d in m.dim_vector()]):
@@ -341,7 +340,7 @@ def test_reflect_i1_examples():
 
 def test_reflect_i1_is_an_involution_on_positives():
     for c in (A2, A3, D4):
-        for beta in positive_roots(c):
+        for beta in c.positive_roots():
             img = reflect_i1(c, beta)
             if min(img) >= 0:
                 assert reflect_i1(c, img) == beta
@@ -363,20 +362,38 @@ def test_topological_order_breaks_ties_by_position():
     assert q.topological_targets_first() == ["b", "a", "c"]
 
 
-def test_euler_reduces_each_prime_once(monkeypatch):
-    calls = []
-    reduce_mod = QuiverRep.reduce_mod
-
-    def counted(self, p):
-        calls.append(p)
-        return reduce_mod(self, p)
-
-    monkeypatch.setattr(QuiverRep, "reduce_mod", counted)
+def test_euler_ranks_each_prime_once(monkeypatch):
     m = QuiverRep(Quiver((1, 2), ((1, 2),)), {1: 2, 2: 1}, {(1, 2): [[1, 1]]})
+    calls = []
+    rank = linalg.rank
+
+    def counted(rows, field):
+        # the good-prime test ranks the arrow matrix itself, not a copy
+        if isinstance(field, GF) and rows is m.mats[(1, 2)]:
+            calls.append(field.p)
+        return rank(rows, field)
+
+    monkeypatch.setattr(linalg, "rank", counted)
     first = [grassmannian_euler(m, nu) for nu in ((1, 0), (1, 1), (2, 1))]
     second = [grassmannian_euler(m, nu) for nu in ((1, 0), (1, 1), (2, 1))]
     assert first == second == [1, 2, 1]
-    assert len(calls) == len(set(calls))
+    assert len(calls) > 1 and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_points_read_integer_matrices_mod_p(p):
+    rng = random.Random(p)
+    quiver = Quiver((1, 2, 3), ((1, 2), (2, 3)))
+    # the first dimensions close the source, the second the sink
+    for dims in ({1: 2, 2: 3, 3: 1}, {1: 1, 2: 3, 3: 2}):
+        mats = {(s, t): [[rng.randint(-9, 9) for _ in range(dims[s])]
+                         for _ in range(dims[t])] for s, t in quiver.arrows}
+        entries = [x for m in mats.values() for row in m for x in row]
+        assert min(entries) < 0 and max(entries) >= p
+        reduced = {a: [[x % p for x in row] for row in m]
+                   for a, m in mats.items()}
+        assert (_points(QuiverRep(quiver, dims, mats), p)
+                == _points(QuiverRep(quiver, dict(dims), reduced), p)), dims
 
 
 def test_grassmannian_euler_walks_only_its_nu(monkeypatch):
