@@ -14,7 +14,7 @@ from collections import namedtuple
 from . import preproj, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError
-from .lpoly import LPoly
+from .lpoly import LPoly, is_product_plus
 from .ymono import (YMonomial, YPolynomial, a_monomial_exps, is_dominant)
 
 
@@ -68,9 +68,10 @@ def _tsystem_step(c: CartanData, i: int, k: int) -> tuple:
     """
     s = c.xi[i - 1]
     lhs = _kr(c, i, k) * _kr_at(c, i, k, s + 2)
-    prod = YPolynomial.one()
-    for j in c.neighbors(i):
-        prod = prod * _kr_at(c, j, k, s + 1)
+    factors = (_kr_at(c, j, k, s + 1) for j in c.neighbors(i))
+    prod = next(factors, YPolynomial.one())
+    for factor in factors:
+        prod = prod * factor
     den = _kr_at(c, i, k - 1, s + 2)
     try:
         top = (lhs - prod).exact_div(den)
@@ -84,6 +85,10 @@ def _tsystem_step(c: CartanData, i: int, k: int) -> tuple:
 def verify_tsystem(c: CartanData, i: int, k: int, s: int) -> bool:
     """Exact check of the T-system identity at (i, k, s).
 
+    The identity lhs = T_(k+1)(s) T_(k-1)(s+2) + prod is checked as a
+    residual: lhs minus prod minus every term pair of the product must
+    leave only zero coefficients, in one working copy of lhs.
+
     The check runs at the base shift xi_i: shifting every spectral
     exponent by s - xi_i is an injective ring map taking each term at
     xi_i to the same term at s (the shift that normalizes the KR
@@ -93,7 +98,7 @@ def verify_tsystem(c: CartanData, i: int, k: int, s: int) -> bool:
         raise InvalidInputError("T-system check needs k >= 1")
     c.check_node(i)
     top, lhs, prod, den = _tsystem_step(c, i, k)
-    return lhs == top * den + prod
+    return is_product_plus(lhs.poly, top.poly, den.poly, prod.poly)
 
 
 # --- level-1 dictionary -----------------------------------------------------

@@ -12,7 +12,9 @@ and the monomial prod x_k^e_k is the int sum e_k * 2**(W * slot_k) with
 signed (balanced) digits of W bits.  The unit monomial is 0, a product
 of monomials is an int sum and an inverse is a negation.  Comparing the
 ints is a group order on monomials (lex, highest slot first), which the
-long division uses.
+long division uses.  The division reads its dividend in place: its
+working memory is the dividend's sorted key list plus the pending
+changes to the remainder, not a copy of the dividend.
 
 Every exponent lies in [-EXP_MAX, EXP_MAX].  EXP_MAX leaves two spare
 bits per digit, so the difference of two exponents still fits a digit
@@ -281,9 +283,6 @@ class LPoly:
     def __sub__(self, other) -> "LPoly":
         return self._plus(other, -1)
 
-    def __rsub__(self, other) -> "LPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LPoly":
         if isinstance(other, int):
             if other == 0:
@@ -292,12 +291,7 @@ class LPoly:
                            self._bound)
         bound = _product_bound(self, other)
         data = {}
-        get = data.get
-        rhs = list(other.terms.items())
-        for p1, c1 in self.terms.items():
-            for p2, c2 in rhs:
-                p = p1 + p2
-                data[p] = get(p, 0) + c1 * c2
+        _add_product(data, self, other, 1)
         if 0 in data.values():
             data = {p: c for p, c in data.items() if c}
         return _packed(data, bound)
@@ -349,9 +343,6 @@ class LPoly:
                 del data[q]
         return _packed(data, self._bound)
 
-    def support_keys(self) -> set:
-        return {_KEYS[s] for p in self.terms for s, _ in _digits(p)}
-
     def min_exponent(self, key) -> int:
         """Minimum exponent of key over the terms (missing key counts 0)."""
         off = _OFFSETS.get(key)
@@ -376,13 +367,45 @@ class LPoly:
         return _long_division(self, other)
 
 
+def _add_product(data: dict, a: LPoly, b: LPoly, sign: int) -> None:
+    """Add sign times every term pair of a * b into data, in place."""
+    get = data.get
+    rhs = list(b.terms.items())
+    for p1, c1 in a.terms.items():
+        c1 *= sign
+        for p2, c2 in rhs:
+            p = p1 + p2
+            data[p] = get(p, 0) + c1 * c2
+
+
+def is_product_plus(f: LPoly, a: LPoly, b: LPoly, c: LPoly) -> bool:
+    """Whether f == a * b + c, checked as a residual in one working copy.
+
+    A copy of f's terms loses c and then every term pair of a * b, and
+    the identity holds iff every coefficient left is 0; neither a * b
+    nor the sum is formed.  Raises OverflowError exactly when a * b
+    does.  No operand is changed.
+    """
+    _product_bound(a, b)
+    r = dict(f.terms)
+    get = r.get
+    for p, x in c.terms.items():
+        r[p] = get(p, 0) - x
+    _add_product(r, a, b, -1)
+    return not any(r.values())
+
+
 def _long_division(f: LPoly, g: LPoly) -> LPoly:
     """f / g for a divisor of two or more terms, by leading terms.
 
-    The remainder's leading monomial comes from two descending streams:
-    f's monomials, sorted once, and a heap of remainder monomials absent
-    from f.  New remainder monomials lie below the current one, so each
-    is visited once; a cancelled one keeps coefficient 0 until then.
+    f is read in place and never written.  The remainder's leading
+    monomial comes from two descending streams: f's monomials, sorted
+    once, and a heap of remainder monomials absent from f.  New
+    remainder monomials lie below the current one, so each is visited
+    once.  The working memory is the sorted key list plus the pending
+    changes: a dict holding the current coefficient of only those
+    monomials that earlier quotient terms changed, each popped when
+    the walk reaches it; a cancelled one keeps coefficient 0 until then.
     Every quotient term must lie digit by digit in the box
     [min f - min g, max f - max g]: every exact quotient does (Newton
     polytopes add), the remainder then stays inside f's box so no digit
@@ -403,17 +426,22 @@ def _long_division(f: LPoly, g: LPoly) -> LPoly:
     lg = max(g.terms)
     cg = g.terms[lg]
     rest = [(p, c) for p, c in g.terms.items() if p != lg]
-    r = dict(f.terms)
-    walk = iter(sorted(r, reverse=True))
+    fterms = f.terms
+    fget = fterms.get
+    pending = {}
+    walk = iter(sorted(fterms, reverse=True))
     lf = next(walk, None)
     heap = []
     quotient = {}
     while lf is not None or heap:
         if heap and (lf is None or -heap[0] > lf):
             lr = -heappop(heap)
+            cr = pending.pop(lr)
         else:
             lr, lf = lf, next(walk, None)
-        cr = r.pop(lr)
+            cr = pending.pop(lr, None)
+            if cr is None:
+                cr = fterms[lr]
         if not cr:
             continue
         t = lr - lg
@@ -425,9 +453,11 @@ def _long_division(f: LPoly, g: LPoly) -> LPoly:
         quotient[t] = ct
         for p, c in rest:
             p += t
-            old = r.get(p)
+            old = pending.get(p)
             if old is None:
-                heappush(heap, -p)
-                old = 0
-            r[p] = old - ct * c
+                old = fget(p)
+                if old is None:
+                    heappush(heap, -p)
+                    old = 0
+            pending[p] = old - ct * c
     return _packed(quotient, bound)

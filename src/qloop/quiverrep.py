@@ -95,9 +95,6 @@ class QuiverRep:
     def dim_vector(self) -> tuple:
         return tuple(self.dims.get(v, 0) for v in self.quiver.vertices)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 def euler_form(quiver: Quiver, d, e) -> int:
     """<d,e> = sum_i d_i e_i - sum_{arrows s->t} d_s e_t."""

@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden_data
+from weyl_oracle import weyl_invariant_weights
 from test_euler_series import loose_bound_euler
 from qloop import engine, lpoly
 from qloop.cartan import CartanData
@@ -172,6 +177,80 @@ def test_tsystem_inexact_numerator_names_its_step(monkeypatch):
     with pytest.raises(ConsistencyError, match=r"T-system division failed "
                        r"at \(i=3, k=3, s=0\): inexact"):
         verify_tsystem(D4, 3, 2, 0)
+
+
+def test_tsystem_check_fails_on_a_spurious_neighbour_term(monkeypatch):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    t2 = kr_qchar(D4, KRLabel(1, 2, D4.xi[0]))
+    spurious = YPolynomial.from_monomial(Y((1, D4.xi[0] + 40, 1)))
+    engine._KR_CACHE[(D4, 1, 2)] = t2 + spurious
+    try:
+        ok = verify_tsystem(D4, 3, 2, 0)
+    except ConsistencyError:
+        ok = False
+    assert not ok
+
+
+# Peak of the memory tracemalloc traces over one check, fundamentals
+# built beforehand, in a fresh interpreter: the slot table is
+# process-wide, so earlier tests would widen every packed monomial.
+_PEAK_SCRIPT = """
+import sys, tracemalloc
+from qloop import engine, preproj
+from qloop.cartan import CartanData
+c = CartanData.from_label(sys.argv[1])
+for j in c.nodes():
+    preproj.fundamental_qchar(c, j, c.xi[j - 1])
+tracemalloc.start()
+ok = engine.verify_tsystem(c, int(sys.argv[2]), int(sys.argv[3]), 0)
+print(ok, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _traced_peak_mb(label, i, k):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", _PEAK_SCRIPT, label,
+                          str(i), str(k)], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    ok, peak = out.stdout.split()
+    assert ok == "True"
+    return int(peak) / 2**20
+
+
+def test_tsystem_check_memory_d4():
+    # one working copy besides lhs and prod: 10.87 MB measured with
+    # Python 3.11 (15.06 MB when the check and the division each copied
+    # the whole dividend), bound 15% above
+    assert _traced_peak_mb("D4", 3, 2) <= 10.87 * 1.15
+
+
+@pytest.mark.slow
+def test_tsystem_check_memory_d4_length_three():
+    # 355.0 MB measured with Python 3.11 (497.5 MB with whole copies),
+    # bound 15% above
+    assert _traced_peak_mb("D4", 3, 3) <= 355.0 * 1.15
+
+
+@pytest.mark.parametrize("label, i, k, dim", [
+    # the central node: V(2w) + V(w) + V(0) = 300 + 28 + 1 for w the
+    # adjoint weight (Chari 2001)
+    ("D4", 3, 2, 329),
+    ("D4", 1, 2, 35),      # minuscule node: V(2w1) = Sym^2 minus trace
+    ("E6", 1, 2, 351),     # minuscule node: V(2w1)
+    ("A4", 2, 3, 175),     # V(3w2), by the hook-content formula
+    # V(3w) + V(2w) + V(w) + V(0) = 1925 + 300 + 28 + 1
+    pytest.param("D4", 3, 3, 2254, marks=pytest.mark.slow),
+])
+def test_kr_modules_have_weyl_invariant_weights_of_classical_dimension(
+        label, i, k, dim):
+    # an oracle outside the T-system: the underlying module's weights
+    # and its dimension from the classical decomposition
+    c = CartanData.from_label(label)
+    poly = kr_qchar(c, KRLabel(i, k, c.xi[i - 1]))
+    multiset = weyl_invariant_weights(c, poly)
+    assert sum(multiset.values()) == dim
 
 
 @pytest.mark.slow

@@ -4,7 +4,8 @@ from heapq import heappush
 import pytest
 
 from qloop import lpoly
-from qloop.lpoly import EXP_MAX, LPoly, mono, mono_mul, mono_pow
+from qloop.lpoly import (EXP_MAX, LPoly, is_product_plus, mono, mono_mul,
+                         mono_pow)
 
 # The three key shapes the package uses: plain names, (node, shift)
 # Y-variables and tagged cluster variables.  Keys of one monomial must be
@@ -93,7 +94,8 @@ def test_key_maps_match_naive_oracle():
             kept[mm] = kept.get(mm, 0) + c
         assert p.subs_one(lambda k: k[0] == 1).canonical() == \
             as_canonical({m: c for m, c in kept.items() if c})
-        assert p.support_keys() == {k for m in terms for k, _ in m}
+        assert {k for m in p.monomials() for k, _ in m} == \
+            {k for m in terms for k, _ in m}
         for key in keys + [(9, 9)]:
             want = min((dict(m).get(key, 0) for m in terms), default=0)
             assert p.min_exponent(key) == want
@@ -208,6 +210,75 @@ def test_divisions_through_monomials_absent_from_the_dividend(monkeypatch):
                            match=rf"inexact polynomial division \({msg}\)"):
             f.exact_div(g)
         assert pushed, msg
+
+
+def test_divisions_leave_both_operands_unchanged():
+    # the division reads its dividend in place; it must never write it
+    x, y = LPoly.var("x"), LPoly.var("y")
+    rng = random.Random(19)
+    cases = [(x * x + y * y, x - y), (2 * x * x + y * y, 2 * x - y),
+             ((x * x - y * y) * (x + y + 1), x - y)]
+    for trial in range(60):
+        keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
+        g = rand_terms(rng, keys, rng.randint(2, 4))
+        if len(g) >= 2:
+            q = rand_terms(rng, keys, rng.randint(1, 6))
+            cases.append((LPoly(naive_mul(q, g)), LPoly(g)))
+    raised = set()
+    for f, g in cases:
+        before = (dict(f.terms), dict(g.terms))
+        try:
+            f.exact_div(g)
+        except ValueError as exc:
+            raised.add(str(exc))
+        assert (f.terms, g.terms) == before
+    assert raised == {"inexact polynomial division (monomial)",
+                      "inexact polynomial division (coefficient)"}
+
+
+def test_product_plus_matches_the_expanded_identity():
+    rng = random.Random(23)
+    for trial in range(300):
+        keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
+        a = LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
+        b = LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
+        c = LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
+        f = a * b + c
+        if trial % 3 == 1:
+            # c cancels part of a * b, so f is shorter than either
+            c = c - LPoly(dict(list((a * b).items())[::2]))
+            f = a * b + c
+        elif trial % 3 == 2:
+            # one coefficient off, or a term gained
+            m = mono((k, rng.randint(-3, 3)) for k in rng.sample(keys, 2))
+            f = f + LPoly.monomial(m, rng.choice([-2, -1, 1, 2]))
+        before = [dict(p.terms) for p in (f, a, b, c)]
+        assert is_product_plus(f, a, b, c) == (f == a * b + c)
+        assert [p.terms for p in (f, a, b, c)] == before
+
+
+def test_product_plus_overflows_exactly_when_the_product_does():
+    rng = random.Random(29)
+    raised = 0
+    for _ in range(200):
+        def exponent():
+            if rng.random() < 0.5:
+                return rng.randint(-4, 4)
+            return rng.choice([-1, 1]) * rng.randint(EXP_MAX - 4, EXP_MAX)
+
+        def near_bound():
+            return LPoly({mono((k, exponent()) for k in ("x", "y")):
+                          rng.randint(1, 3) for _ in range(rng.randint(1, 3))})
+        a, b, c = near_bound(), near_bound(), LPoly.var("x")
+        try:
+            a * b
+        except OverflowError:
+            raised += 1
+            with pytest.raises(OverflowError):
+                is_product_plus(LPoly.zero(), a, b, c)
+        else:
+            is_product_plus(c, a, b, c)
+    assert 0 < raised < 200
 
 
 def test_laurent_division_with_negative_exponents():
