@@ -384,7 +384,7 @@ def is_product_plus(f: LPoly, a: LPoly, b: LPoly, c: LPoly) -> bool:
     A copy of f's terms loses c and then every term pair of a * b, and
     the identity holds iff every coefficient left is 0; neither a * b
     nor the sum is formed.  Raises OverflowError exactly when a * b
-    does.  No operand is changed.
+    does.  No operand's terms change.
     """
     _product_bound(a, b)
     r = dict(f.terms)
