@@ -1,15 +1,16 @@
 """Skew-symmetric cluster algebras with frozen variables.
 
-Seeds carry a sparse exchange matrix over labelled vertices and exact
-Laurent expansions of the mutable variables in the initial ones.  The
-exchange graph is enumerated on integers alone: each seed there is its
-mutable exchange matrix, C-matrix and G-matrix, a cluster variable is
-identified by its g-vector, and a cluster by its set of variables.  The
-level-ell initial seed glues the descending arrows of the repetition
-quiver to vertical translation arrows and freezes the bottom row.  A
-variable is expanded only when read, by replaying its mutation path
-once on a principal-coefficient copy of the initial seed; its
-denominator vector and its F-polynomial are both read off that one
+Seeds carry the extended exchange matrix B-tilde as integer rows and
+exact Laurent expansions of the mutable variables in the initial ones;
+`_mutate_rows` is the one matrix-mutation rule.  The exchange graph is
+enumerated on integers alone, the principal seed's B-tilde (B over the
+C-matrix) and the G-matrix, and records clusters and variables only: a
+variable is identified by its g-vector, and a cluster by its set of
+variables.  The level-ell initial seed glues the descending arrows of
+the repetition quiver to vertical translation arrows and freezes the
+bottom row.  A variable is expanded only when read, by replaying its
+mutation path once on a principal-coefficient copy of the initial seed;
+its denominator vector and its F-polynomial are both read off that one
 expansion, and the g-vector read there must equal the enumerated one.
 """
 
@@ -32,10 +33,11 @@ def ring_key(v) -> tuple:
 
 
 class Seed(namedtuple("Seed", "mutable frozen b variables")):
-    """Exchange matrix plus tracked variables; never edited in place.
+    """Extended exchange matrix plus tracked variables; never edited in place.
 
-    b is sparse, {(v, w): entry} with at least one endpoint mutable;
-    variables is {vertex: LPoly} for the mutable vertices, in seed order.
+    b has one row per vertex of mutable + frozen and one column per
+    mutable vertex, with b[v][w] > 0 for arrows w -> v; variables is
+    {vertex: LPoly} for the mutable vertices, in seed order.
     """
 
     __slots__ = ()
@@ -56,16 +58,16 @@ def _seed_from_quiver(mutable, frozen, arrows) -> Seed:
     """Build a seed whose exchange matrix has b[v][w] > 0 for arrows w -> v."""
     mutable = tuple(sorted(mutable))
     frozen = tuple(sorted(frozen))
-    mset = set(mutable)
-    b: dict[tuple[Vertex, Vertex], int] = {}
+    row = {v: i for i, v in enumerate(mutable + frozen)}
+    col = {v: j for j, v in enumerate(mutable)}
+    b = [[0] * len(mutable) for _ in row]
     for (u, w) in arrows:
-        if u not in mset and w not in mset:
-            continue
-        b[(w, u)] = b.get((w, u), 0) + 1
-        b[(u, w)] = b.get((u, w), 0) - 1
-    b = {k: v for k, v in b.items() if v}
+        if u in col:
+            b[row[w]][col[u]] += 1
+        if w in col:
+            b[row[u]][col[w]] -= 1
     variables = {v: LPoly.var(("z",) + v) for v in mutable}
-    return Seed(mutable, frozen, b, variables)
+    return Seed(mutable, frozen, tuple(map(tuple, b)), variables)
 
 
 def gamma_seed(c: CartanData, ell: int) -> Seed:
@@ -96,32 +98,20 @@ def mutate(seed: Seed, k: Vertex) -> Seed:
     """Fomin-Zelevinsky mutation at a mutable vertex."""
     if k not in seed.mutable:
         raise InvalidInputError(f"cannot mutate at non-mutable vertex {k}")
-    b = seed.b
+    col = seed.mutable.index(k)
     pos = LPoly.one()
     neg = LPoly.one()
-    for v in seed.mutable + seed.frozen:
-        e = b.get((v, k), 0)
+    for v, row in zip(seed.mutable + seed.frozen, seed.b):
+        e = row[col]
         if e > 0:
             pos = pos * seed.var(v) ** e
         elif e < 0:
             neg = neg * seed.var(v) ** (-e)
     new_var = (pos + neg).exact_div(seed.var(k))
-    # entries at k flip sign; b_vw gains |b_vk| b_kw when b_vk and b_kw
-    # share a sign, that is when b_vk b_wk < 0 (b is skew-symmetric)
-    newb = {vw: -e if k in vw else e for vw, e in b.items()}
-    around = [(v, e) for (v, w), e in b.items() if w == k]
-    frozen = set(seed.frozen)
-    for v, bvk in around:
-        for w, bwk in around:
-            if bvk * bwk < 0 and (v not in frozen or w not in frozen):
-                val = newb.get((v, w), 0) - abs(bvk) * bwk
-                if val:
-                    newb[(v, w)] = val
-                else:
-                    del newb[(v, w)]
     variables = dict(seed.variables)
     variables[k] = new_var
-    return Seed(seed.mutable, seed.frozen, newb, variables)
+    return Seed(seed.mutable, seed.frozen, _mutate_rows(seed.b, col),
+                variables)
 
 
 class ClusterVariable:
@@ -138,9 +128,6 @@ class ClusterVariable:
         self.path = path        # mutation path from the initial seed
         self.vertex = vertex    # where the variable sits at the end of path
         self.seed = seed
-        # a second path to the variable, when the enumeration met one
-        self.alt_path = None
-        self.alt_vertex = None
 
     @cached_property
     def principal(self) -> LPoly:
@@ -170,13 +157,10 @@ class ClusterVariable:
 class ExchangeGraph:
     """Result of a breadth-first closure under mutation."""
 
-    def __init__(self, seed: Seed, clusters: tuple, variables: dict,
-                 adjacency: dict):
+    def __init__(self, seed: Seed, clusters: tuple, variables: dict):
         self.seed = seed
         self.clusters = clusters    # frozensets of variable idents
         self.variables = variables  # ident -> ClusterVariable
-        # cluster key -> number of distinct neighbors
-        self.adjacency = adjacency
 
     def n_clusters(self) -> int:
         return len(self.clusters)
@@ -197,16 +181,21 @@ class ExchangeGraph:
         return id2 in self._partners.get(id1, ())
 
 
-def _mutate_rows(rows: tuple, rowk: tuple, k: int) -> tuple:
-    """Rows of an extended exchange matrix after mutation at column k.
+def _mutate_rows(rows: tuple, k: int) -> tuple:
+    """Fomin-Zelevinsky mutation at k of an extended exchange matrix.
 
-    rowk is row k of the mutable part; the entry at k flips sign, and
-    b_ij gains |b_ik| b_kj when b_ik and b_kj share a sign.
+    rows are the rows of B-tilde, mutable vertices first, so row k and
+    column k belong to the same vertex.  Row k is negated; in every
+    other row the entry at k flips sign, and b_ij gains |b_ik| b_kj when
+    b_ik and b_kj share a sign.
     """
+    rowk = rows[k]
     out = []
-    for row in rows:
+    for i, row in enumerate(rows):
         e = row[k]
-        if e:
+        if i == k:
+            row = tuple(-x for x in row)
+        elif e:
             new = [x + abs(e) * y if e * y > 0 else x
                    for x, y in zip(row, rowk)]
             new[k] = -e
@@ -218,9 +207,10 @@ def _mutate_rows(rows: tuple, rowk: tuple, k: int) -> tuple:
 def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     """Breadth-first closure of the seed under mutation.
 
-    Each queued seed carries integers only: the mutable exchange matrix
-    B, the C-matrix (rows of the principal-coefficient block) and the
-    G-matrix (rows are the variables' g-vectors).  Mutation at k gives
+    Each queued seed carries integers only: the rows of the
+    principal-coefficient seed's B-tilde, that is the mutable exchange
+    matrix B over the C-matrix block, and the G-matrix (rows are the
+    variables' g-vectors).  Mutation at k gives
     g'_k = -g_k + sum_i [b_ik]_+ g_i - sum_j [c_jk]_+ b0_j, with b0_j
     column j of the initial B (Fomin-Zelevinsky, Cluster algebras IV,
     Prop. 6.6).  A g-vector determines its cluster variable in the
@@ -231,8 +221,8 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     """
     mutable = seed.mutable
     n = len(mutable)
-    b0 = tuple(tuple(seed.b.get((v, w), 0) for w in mutable) for v in mutable)
-    b0_cols = tuple(zip(*b0))
+    rows0 = _principal_seed(seed).b
+    b0_cols = tuple(zip(*rows0[:n]))
     idents: dict[tuple, str] = {}
     variables: dict[str, ClusterVariable] = {}
 
@@ -243,22 +233,19 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
             variables[ident] = ClusterVariable(ident, g, path, v, seed)
         return ident
 
-    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    unit = rows0[n:]
     names = tuple(name(g, (), v) for v, g in zip(mutable, unit))
-    # one key object per cluster: every neighbor set refers to it
-    ckey = frozenset(names)
-    seen = {ckey: ckey}
-    neighbor_sets: dict[frozenset, set] = {}
-    queue = deque([(b0, unit, unit, (), names, ckey)])
+    seen = {frozenset(names)}
+    queue = deque([(rows0, unit, (), names)])
     while queue:
-        b, c, g, path, names, ckey = queue.popleft()
+        rows, g, path, names = queue.popleft()
         for k, vk in enumerate(mutable):
             gk = [-x for x in g[k]]
-            for gi, row in zip(g, b):
+            for gi, row in zip(g, rows):  # the n rows of B
                 e = row[k]
                 if e > 0:
                     gk = [x + e * y for x, y in zip(gk, gi)]
-            for col, row in zip(b0_cols, c):
+            for col, row in zip(b0_cols, rows[n:]):
                 e = row[k]
                 if e > 0:
                     gk = [x - e * y for x, y in zip(gk, col)]
@@ -268,42 +255,24 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
             # before makes a cluster never met before
             nnames = names[:k] + (name(gk, npath, vk),) + names[k + 1:]
             nkey = frozenset(nnames)
-            known = seen.get(nkey)
-            if known is not None:
-                nkey = known
-            else:
-                if len(seen) >= cap:
-                    raise CapExceededError(
-                        f"exchange graph exceeded cap {cap}; "
-                        "infinite or very large type")
-                seen[nkey] = nkey
-                for v, ident in zip(mutable, nnames):
-                    cv = variables[ident]
-                    if (cv.alt_path is None
-                            and (npath, v) != (cv.path, cv.vertex)):
-                        cv.alt_path, cv.alt_vertex = npath, v
-                rowk = b[k]
-                nb = _mutate_rows(b, rowk, k)
-                nb = nb[:k] + (tuple(-x for x in rowk),) + nb[k + 1:]
-                queue.append((nb, _mutate_rows(c, rowk, k),
-                              g[:k] + (gk,) + g[k + 1:], npath, nnames,
-                              nkey))
-            neighbor_sets.setdefault(ckey, set()).add(nkey)
-    clusters = tuple(sorted(seen, key=sorted))
-    adjacency = {ck: len(ns) for ck, ns in neighbor_sets.items()}
-    return ExchangeGraph(seed, clusters, variables, adjacency)
+            if nkey in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceededError(
+                    f"exchange graph exceeded cap {cap}; "
+                    "infinite or very large type")
+            seen.add(nkey)
+            queue.append((_mutate_rows(rows, k), g[:k] + (gk,) + g[k + 1:],
+                          npath, nnames))
+    return ExchangeGraph(seed, tuple(sorted(seen, key=sorted)), variables)
 
 
 def _principal_seed(seed: Seed) -> Seed:
     """Same mutable exchange matrix, principal coefficients, fresh variables."""
-    b = {}
-    mset = set(seed.mutable)
-    for (v, w), e in seed.b.items():
-        if v in mset and w in mset:
-            b[(v, w)] = e
-    for v in seed.mutable:
-        b[(("y",) + v, v)] = 1
-        b[(v, ("y",) + v)] = -1
+    n = len(seed.mutable)
+    # one arrow v -> ("y",) + v per mutable v: the identity below B
+    b = seed.b[:n] + tuple(tuple(int(i == j) for j in range(n))
+                           for i in range(n))
     frozen = tuple(("y",) + v for v in seed.mutable)
     variables = {v: LPoly.var(("z",) + v) for v in seed.mutable}
     return Seed(seed.mutable, frozen, b, variables)
@@ -331,9 +300,9 @@ def f_polynomial_and_gvector(seed0: Seed, cv: ClusterVariable):
 def _gvector(seed0: Seed, expansion: LPoly) -> tuple:
     mutable = seed0.mutable
     index = {("z",) + v: i for i, v in enumerate(mutable)}
-    b = seed0.b
-    ydeg = {("y",) + v: [-b.get((w, v), 0) for w in mutable]
-            for v in mutable}
+    # y_j has degree minus column j of B
+    ydeg = {("y",) + v: [-x for x in col]
+            for v, col in zip(mutable, zip(*seed0.b[:len(mutable)]))}
     degree = None
     for m in expansion.monomials():
         deg = [0] * len(mutable)

@@ -162,15 +162,11 @@ def _phi_minus(c: CartanData, spaces: dict, mats: dict):
     return out_dims, out_mats
 
 
-def _coxeter_plus(c: CartanData, beta: tuple) -> tuple:
-    """Dimension-vector action of the Coxeter element: class-0 then class-1."""
-    out = beta
-    step = tuple(out[j - 1] - (c.pairing(out, j) if c.xi[j - 1] == 0 else 0)
+def _reflect_class(c: CartanData, beta: tuple, cls: int) -> tuple:
+    """Product of the commuting simple reflections at nodes with xi == cls."""
+    return tuple(beta[j - 1] - (c.pairing(beta, j) if c.xi[j - 1] == cls
+                                else 0)
                  for j in c.nodes())
-    out = step
-    step = tuple(out[j - 1] - (c.pairing(out, j) if c.xi[j - 1] == 1 else 0)
-                 for j in c.nodes())
-    return step
 
 
 def _projective_dims(c: CartanData) -> dict[int, tuple]:
@@ -238,7 +234,8 @@ def _indec_spaces(c: CartanData, beta: tuple):
         for j in c.neighbors(i):
             mats[(i, j)] = [[Fraction(1)]]
         return spaces, mats
-    gamma = _coxeter_plus(c, beta)
+    # the Coxeter element on dimension vectors: class 0, then class 1
+    gamma = _reflect_class(c, _reflect_class(c, beta, 0), 1)
     if not c.is_positive_root(gamma):
         raise ConsistencyError(f"Coxeter step left the root system at {beta}")
     sub_spaces, sub_mats = _indec_spaces(c, gamma)
@@ -547,7 +544,9 @@ def _nu_key(M: QuiverRep, nu) -> tuple:
 
 
 def grassmannian_count_fq(M: QuiverRep, nu, p: int) -> int:
-    """Point count of the subrepresentation Grassmannian over F_p."""
+    """Point count of the subrepresentation Grassmannian over F_p, p prime."""
+    if p < 2 or _next_prime(p - 1) != p:
+        raise InvalidInputError(f"p = {p} is not a prime")
     key = _nu_key(M, nu)
     return _points(M, p, frozenset((key,))).get(key, 0)
 
@@ -704,8 +703,7 @@ def reflect_i1(c: CartanData, beta) -> tuple:
     beta = tuple(beta)
     if not c.is_positive_root(beta):
         raise InvalidInputError(f"{beta} is not a positive root")
-    out = tuple(beta[j - 1] - (c.pairing(beta, j) if c.xi[j - 1] == 1 else 0)
-                for j in c.nodes())
+    out = _reflect_class(c, beta, 1)
     if c.is_positive_root(out):
         return out
     negs = [j for j in c.nodes() if out[j - 1] != 0]

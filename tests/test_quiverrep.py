@@ -153,6 +153,15 @@ def test_count_examples_on_the_extension():
         assert grassmannian_count_fq(m, (1, 1), p) == 1
 
 
+def test_count_rejects_a_modulus_that_is_not_prime():
+    # Z/p is a field only for a prime p; 1 used to divide by zero, and
+    # 4 and 9 counted in a ring with zero divisors
+    m = indecomposable_rep(A2, (1, 1))
+    for p in (0, 1, 4, 9):
+        with pytest.raises(InvalidInputError, match=f"p = {p} "):
+            grassmannian_count_fq(m, (1, 0), p)
+
+
 def test_count_matches_brute_force():
     rng = random.Random(17)
     reps = [indecomposable_rep(A2, (1, 1)),
