@@ -50,9 +50,6 @@ class Seed(namedtuple("Seed", "mutable frozen b variables")):
             return LPoly.var(ring_key(v))
         raise InvalidInputError(f"unknown vertex {v}")
 
-    def cluster_key(self) -> frozenset:
-        return frozenset(self.variables.values())
-
 
 def _seed_from_quiver(mutable, frozen, arrows) -> Seed:
     """Build a seed whose exchange matrix has b[v][w] > 0 for arrows w -> v."""

@@ -10,11 +10,13 @@ modules into prime factors by exact cover over cluster data.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from operator import mul
 
-from . import preproj, quiverrep
+from . import lpoly, preproj, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError
-from .lpoly import LPoly, is_product_plus
+from .lpoly import LPoly
 from .ymono import (YMonomial, YPolynomial, a_monomial_exps, is_dominant)
 
 
@@ -63,31 +65,36 @@ def _tsystem_step(c: CartanData, i: int, k: int) -> tuple:
     """Solve the T-system at s = xi_i for T_(k+1), cached under (c, i, k+1).
 
     lhs = T_k(s) T_k(s+2) equals T_(k+1)(s) T_(k-1)(s+2) + prod, prod the
-    product of T_k^(j)(s+1) over the neighbors j of i.  The division must
-    be exact.  Returns (T_(k+1), lhs, prod, T_(k-1)(s+2)).
+    product of T_k^(j)(s+1) over the neighbors j of i.  The step builds
+    one working table of lhs - prod, from the term pairs of T_k(s) T_k(s+2)
+    and of the last neighbor's factor times the product of the others,
+    so neither lhs nor prod is formed, and divides it in place; the
+    division must be exact.  Returns (T_(k+1), the table, T_(k-1)(s+2)).
     """
     s = c.xi[i - 1]
-    lhs = _kr(c, i, k) * _kr_at(c, i, k, s + 2)
-    factors = (_kr_at(c, j, k, s + 1) for j in c.neighbors(i))
-    prod = next(factors, YPolynomial.one())
-    for factor in factors:
-        prod = prod * factor
+    factors = [_kr_at(c, j, k, s + 1).poly for j in c.neighbors(i)]
+    last = factors.pop() if factors else LPoly.one()
+    others = reduce(mul, factors) if factors else LPoly.one()
+    table, box = lpoly.product_difference(
+        _kr(c, i, k).poly, _kr_at(c, i, k, s + 2).poly, last, others)
     den = _kr_at(c, i, k - 1, s + 2)
     try:
-        top = (lhs - prod).exact_div(den)
+        top = YPolynomial(lpoly.divide_table(table, box, den.poly))
     except ValueError as exc:
         raise ConsistencyError(f"T-system division failed at "
                                f"(i={i}, k={k + 1}, s={s}): {exc}")
     _KR_CACHE[(c, i, k + 1)] = top
-    return top, lhs, prod, den
+    return top, table, den
 
 
 def verify_tsystem(c: CartanData, i: int, k: int, s: int) -> bool:
     """Exact check of the T-system identity at (i, k, s).
 
     The identity lhs = T_(k+1)(s) T_(k-1)(s+2) + prod is checked as a
-    residual: lhs minus prod minus every term pair of the product must
-    leave only zero coefficients, in one working copy of lhs.
+    residual in the step's own table of lhs - prod, which the division
+    only read: every term pair of T_(k+1)(s) T_(k-1)(s+2) is subtracted
+    from it, entries that reach 0 are deleted, and the table must end
+    empty.  Neither the product nor a copy of lhs is formed.
 
     The check runs at the base shift xi_i: shifting every spectral
     exponent by s - xi_i is an injective ring map taking each term at
@@ -97,8 +104,9 @@ def verify_tsystem(c: CartanData, i: int, k: int, s: int) -> bool:
     if k < 1:
         raise InvalidInputError("T-system check needs k >= 1")
     c.check_node(i)
-    top, lhs, prod, den = _tsystem_step(c, i, k)
-    return is_product_plus(lhs.poly, top.poly, den.poly, prod.poly)
+    top, table, den = _tsystem_step(c, i, k)
+    lpoly.add_product(table, top.poly, den.poly, -1)
+    return not table
 
 
 # --- level-1 dictionary -----------------------------------------------------

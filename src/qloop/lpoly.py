@@ -12,9 +12,11 @@ and the monomial prod x_k^e_k is the int sum e_k * 2**(W * slot_k) with
 signed (balanced) digits of W bits.  The unit monomial is 0, a product
 of monomials is an int sum and an inverse is a negation.  Comparing the
 ints is a group order on monomials (lex, highest slot first), which the
-long division uses.  The division reads its dividend in place: its
-working memory is the dividend's sorted key list plus the pending
-changes to the remainder, not a copy of the dividend.
+long division uses.  The division reads its dividend in place, as a
+plain table of packed monomials with a box that holds them, so a
+caller can divide a table it built from products without forming an
+`LPoly` of it: the working memory is the table's sorted key list plus
+the pending changes to the remainder, not a copy of the dividend.
 
 Every exponent lies in [-EXP_MAX, EXP_MAX].  EXP_MAX leaves two spare
 bits per digit, so the difference of two exponents still fits a digit
@@ -289,12 +291,8 @@ class LPoly:
                 return LPoly.zero()
             return _packed({p: c * other for p, c in self.terms.items()},
                            self._bound)
-        bound = _product_bound(self, other)
         data = {}
-        _add_product(data, self, other, 1)
-        if 0 in data.values():
-            data = {p: c for p, c in data.items() if c}
-        return _packed(data, bound)
+        return _packed(data, add_product(data, self, other, 1))
 
     __rmul__ = __mul__
 
@@ -364,72 +362,102 @@ class LPoly:
             bound = _product_bound(self, _packed({-m: 1}, other._bound))
             return _packed({p - m: x // c for p, x in self.terms.items()},
                            bound)
-        return _long_division(self, other)
+        return divide_table(self.terms, _box(self.terms), other)
 
 
-def _add_product(data: dict, a: LPoly, b: LPoly, sign: int) -> None:
-    """Add sign times every term pair of a * b into data, in place."""
+def add_product(data: dict, a: LPoly, b: LPoly, sign: int) -> int:
+    """Add sign times every term pair of a * b into data, in place.
+
+    An entry that reaches 0 is deleted at once, so data keeps only
+    nonzero coefficients if it had only those.  Returns the bound
+    `_product_bound` gives a * b, and raises OverflowError exactly when
+    a * b does, before data changes.  The operand with fewer terms is
+    the outer loop; the sums are the same either way.  Neither
+    operand's terms change.
+    """
+    bound = _product_bound(a, b)
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
     get = data.get
     rhs = list(b.terms.items())
     for p1, c1 in a.terms.items():
         c1 *= sign
         for p2, c2 in rhs:
             p = p1 + p2
-            data[p] = get(p, 0) + c1 * c2
+            c = get(p, 0) + c1 * c2
+            if c:
+                data[p] = c
+            else:
+                del data[p]
+    return bound
 
 
-def is_product_plus(f: LPoly, a: LPoly, b: LPoly, c: LPoly) -> bool:
-    """Whether f == a * b + c, checked as a residual in one working copy.
+def product_difference(a: LPoly, b: LPoly, c: LPoly, d: LPoly) -> tuple:
+    """The table of a * b - c * d, and a box that holds its monomials.
 
-    A copy of f's terms loses c and then every term pair of a * b, and
-    the identity holds iff every coefficient left is 0; neither a * b
-    nor the sum is formed.  Raises OverflowError exactly when a * b
-    does.  No operand's terms change.
+    Every term pair of c * d is subtracted into one plain dict and then
+    every term pair of a * b added, each entry deleted when it reaches
+    0; neither product is formed.  The box (lo, hi) is the digit-wise
+    hull of the two products' boxes, each the digit-wise sum of its
+    factors' boxes, so no pass runs over the table for it.  It may be
+    wider than the table's own box, and it is None when both products
+    are 0.  Raises OverflowError exactly when a * b or c * d does.  No
+    operand's terms change.
     """
-    _product_bound(a, b)
-    r = dict(f.terms)
-    get = r.get
-    for p, x in c.terms.items():
-        r[p] = get(p, 0) - x
-    _add_product(r, a, b, -1)
-    return not any(r.values())
+    table = {}
+    corners = []
+    for x, y, sign in ((c, d, -1), (a, b, 1)):
+        add_product(table, x, y, sign)
+        if x.terms and y.terms:
+            (xlo, xhi), (ylo, yhi) = _box(x.terms), _box(y.terms)
+            corners += (xlo + ylo, xhi + yhi)
+    return table, (_box(corners) if corners else None)
 
 
-def _long_division(f: LPoly, g: LPoly) -> LPoly:
-    """f / g for a divisor of two or more terms, by leading terms.
+def divide_table(terms: dict, box: tuple, g: LPoly) -> LPoly:
+    """terms / g by leading terms, for a table of terms and a nonzero g.
 
-    f is read in place and never written.  The remainder's leading
-    monomial comes from two descending streams: f's monomials, sorted
-    once, and a heap of remainder monomials absent from f.  New
-    remainder monomials lie below the current one, so each is visited
-    once.  The working memory is the sorted key list plus the pending
-    changes: a dict holding the current coefficient of only those
-    monomials that earlier quotient terms changed, each popped when
-    the walk reaches it; a cancelled one keeps coefficient 0 until then.
-    Every quotient term must lie digit by digit in the box
-    [min f - min g, max f - max g]: every exact quotient does (Newton
-    polytopes add), the remainder then stays inside f's box so no digit
-    can overflow, and the quotient terms strictly decrease inside a
-    finite box, so an inexact division ends with ValueError.
+    terms maps packed monomials to coefficients, as `LPoly.terms` does,
+    and is read in place and never written; box = (lo, hi) holds every
+    monomial of terms digit by digit, with digits in [-EXP_MAX,
+    EXP_MAX], and may be wider than their own box.  The remainder's
+    leading monomial comes from two descending streams: the table's
+    monomials, sorted once, and a heap of remainder monomials absent
+    from the table.  New remainder monomials lie below the current one,
+    so each is visited once.  The working memory is the sorted key list
+    plus the pending changes: a dict holding the current coefficient of
+    only those monomials that earlier quotient terms changed, each
+    popped when the walk reaches it; a cancelled one keeps coefficient
+    0 until then.  Every quotient term must lie digit by digit in the
+    box [lo - min g, hi - max g]: every exact quotient does (Newton
+    polytopes add), the remainder then stays inside the given box so no
+    digit can overflow, and the quotient terms strictly decrease inside
+    a finite box, so an inexact division ends with ValueError.  When
+    the quotient box could overflow, the table's own box replaces the
+    given one, so a wide box never raises OverflowError by itself.
     """
-    flo, fhi = _box(f.terms)
+    if not terms:
+        return LPoly.zero()
     glo, ghi = _box(g.terms)
-    lo, hi = flo - glo, fhi - ghi
+    lo, hi = box[0] - glo, box[1] - ghi
+    bound = _max_abs(lo, hi)
+    if bound > EXP_MAX:
+        flo, fhi = _box(terms)
+        lo, hi = flo - glo, fhi - ghi
+        bound = _max_abs(lo, hi)
     # each difference tested below has digits in (-2**(W-1), 2**(W-1)),
     # so it is nonnegative in every digit iff no guard bit is set
     guard = _ones() << (_W - 1)
     if (hi - lo) & guard:
         raise ValueError("inexact polynomial division (monomial)")
-    bound = _max_abs(lo, hi)
     if bound > EXP_MAX:
         raise _overflow()
     lg = max(g.terms)
     cg = g.terms[lg]
     rest = [(p, c) for p, c in g.terms.items() if p != lg]
-    fterms = f.terms
-    fget = fterms.get
+    fget = terms.get
     pending = {}
-    walk = iter(sorted(fterms, reverse=True))
+    walk = iter(sorted(terms, reverse=True))
     lf = next(walk, None)
     heap = []
     quotient = {}
@@ -441,7 +469,7 @@ def _long_division(f: LPoly, g: LPoly) -> LPoly:
             lr, lf = lf, next(walk, None)
             cr = pending.pop(lr, None)
             if cr is None:
-                cr = fterms[lr]
+                cr = terms[lr]
         if not cr:
             continue
         t = lr - lg

@@ -3,7 +3,8 @@
 `qloop.cluster` replays a variable's path only on the principal-
 coefficient copy of its seed.  The replay on the seed itself, frozen
 variables and all, is kept here to check the denominator vectors and
-expansions read off the principal one.
+expansions read off the principal one, and so is the key of a seed by
+its set of variables, which the oracle enumerations compare seeds by.
 """
 
 from qloop.cluster import mutate
@@ -15,3 +16,8 @@ def frozen_expansion(cv):
     for k in cv.path:
         seed = mutate(seed, k)
     return seed.var(cv.vertex)
+
+
+def cluster_key(seed) -> frozenset:
+    """The seed's cluster: the set of its mutable variables' expansions."""
+    return frozenset(seed.variables.values())

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import golden_data
-from cluster_oracle import frozen_expansion
+from cluster_oracle import cluster_key, frozen_expansion
 from qloop import engine
 from qloop.cartan import CartanData
 from qloop.cli import main as cli_main
@@ -181,15 +181,15 @@ def test_criterion_08_level_one_theorem(capsys):
 
 
 def _assert_involution_on_all_seeds(seed):
-    seen = {seed.cluster_key()}
+    seen = {cluster_key(seed)}
     queue = [seed]
     while queue:
         current = queue.pop()
         for k in current.mutable:
             nxt = mutate(current, k)
             assert mutate(nxt, k) == current
-            if nxt.cluster_key() not in seen:
-                seen.add(nxt.cluster_key())
+            if cluster_key(nxt) not in seen:
+                seen.add(cluster_key(nxt))
                 queue.append(nxt)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cluster_oracle import frozen_expansion
+from cluster_oracle import cluster_key, frozen_expansion
 from qloop import cluster
 from qloop.cartan import CartanData
 from qloop.cluster import (ClusterVariable, _gvector, _principal_seed,
@@ -160,7 +160,7 @@ def test_enumeration_counts(label, level, clusters, variables):
 
 def _oracle_exchange_graph(seed):
     """Breadth-first closure with variables keyed by canonical form and
-    seeds by cluster_key(), naming variables as each new seed is met.
+    seeds by cluster_key, naming variables as each new seed is met.
 
     Returns [(ident, expansion, path, vertex, alt_path, alt_vertex)] in
     ident order, the sorted clusters and the adjacency counts.
@@ -182,17 +182,17 @@ def _oracle_exchange_graph(seed):
                 if row[3] is None and (path, v) != (row[1], row[2]):
                     row[3:] = [path, v]
             idents.append(canon_to_ident[canon])
-        cluster_members[s.cluster_key()] = frozenset(idents)
+        cluster_members[cluster_key(s)] = frozenset(idents)
 
     register(seed, ())
-    seen = {seed.cluster_key()}
+    seen = {cluster_key(seed)}
     queue = deque([(seed, ())])
     while queue:
         current, path = queue.popleft()
-        ckey = current.cluster_key()
+        ckey = cluster_key(current)
         for k in current.mutable:
             nxt = mutate(current, k)
-            nkey = nxt.cluster_key()
+            nkey = cluster_key(nxt)
             neighbor_sets.setdefault(ckey, set()).add(nkey)
             if nkey not in seen:
                 seen.add(nkey)

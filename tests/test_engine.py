@@ -10,7 +10,7 @@ import pytest
 import golden_data
 from weyl_oracle import weyl_invariant_weights
 from test_euler_series import loose_bound_euler
-from qloop import engine, lpoly
+from qloop import cli, engine, lpoly
 from qloop.cartan import CartanData
 from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
                           frozen_monomial, gr_series, kr_qchar, level1_graph,
@@ -29,6 +29,7 @@ A1 = CartanData.from_label("A1")
 A2 = CartanData.from_label("A2")
 A3 = CartanData.from_label("A3")
 A4 = CartanData.from_label("A4")
+A5 = CartanData.from_label("A5")
 D4 = CartanData.from_label("D4")
 
 
@@ -136,38 +137,68 @@ def test_tsystem_rejects_zero_length():
 
 
 def test_tsystem_check_fails_on_a_wrong_quotient(monkeypatch, capsys):
-    real = lpoly._long_division
+    real = lpoly.divide_table
 
-    def off_by_one(f, g):
-        q = real(f, g)
+    def off_by_one(terms, box, g):
+        q = real(terms, box, g)
         return q + LPoly.monomial(q.items()[0][0])
 
-    monkeypatch.setattr(lpoly, "_long_division", off_by_one)
+    # the lower steps run first, so only T_3 of node 3 comes out wrong
     monkeypatch.setattr(engine, "_KR_CACHE", {})
+    assert verify_tsystem(D4, 3, 2, 0)
+    monkeypatch.setattr(lpoly, "divide_table", off_by_one)
     assert not verify_tsystem(D4, 3, 2, 0)
     code = main(["verify", "tsystem", "--type", "D4", "--node", "3",
                  "--k", "2", "--s", "0"])
     assert code == 1 and capsys.readouterr().out == "FAIL\n"
 
 
-def test_tsystem_check_fails_on_a_lossy_subtraction(monkeypatch):
+@pytest.mark.parametrize("node, k", [(3, 2), (1, 2), (3, 1)],
+                         ids=["lhs", "neighbour", "divisor"])
+def test_tsystem_check_fails_on_a_wrong_kr_coefficient(monkeypatch, capsys,
+                                                       node, k):
+    # the step at D4 node 3, k = 2 reads T_2 of node 3 in lhs, T_2 of
+    # node 1 among the neighbours and T_1 of node 3 as the divisor
     monkeypatch.setattr(engine, "_KR_CACHE", {})
     assert verify_tsystem(D4, 3, 2, 0)
-    real = LPoly.__sub__
+    right = engine._KR_CACHE[(D4, node, k)]
+    m = next(right.terms())[0]
+    engine._KR_CACHE[(D4, node, k)] = right + YPolynomial.from_monomial(m)
+    code = main(["verify", "tsystem", "--type", "D4", "--node", "3",
+                 "--k", "2", "--s", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and (out == "FAIL\n" or "T-system division" in err)
 
-    def lossy(self, other):
-        out = real(self, other)
-        m, c = out.items()[0]
-        return out + LPoly.monomial(m, -c)
 
-    monkeypatch.setattr(LPoly, "__sub__", lossy)
-    # at k = 1 the divisor is 1, so only the identity itself can notice
-    assert not verify_tsystem(D4, 3, 1, 0)
-    try:
-        ok = verify_tsystem(D4, 3, 2, 0)
-    except ConsistencyError:
-        ok = False
-    assert not ok
+@pytest.mark.parametrize("c, i, k", [(D4, 3, 2), (A5, 3, 2), (A4, 2, 3)],
+                         ids=["D4-3-2", "A5-3-2", "A4-2-3"])
+def test_tsystem_step_matches_the_polynomial_route(monkeypatch, capsys,
+                                                   c, i, k):
+    # T_(k+1) against lhs - prod formed and divided as LPolys, and the
+    # verdict and `qchar kr` output at several shifts
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    xi = c.xi[i - 1]
+    want = _kr_direct(c, i, k + 1, xi)
+    for s in (xi, xi + 1, xi + 6):
+        assert verify_tsystem(c, i, k, s)
+        got = kr_qchar(c, KRLabel(i, k + 1, s))
+        assert got == want.shift(s - xi)
+        for fmt in ("text", "json"):
+            assert main(["qchar", "kr", "--type", c.type_label, "--node",
+                         str(i), "--k", str(k + 1), "--s", str(s),
+                         "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            cli._emit_poly(want.shift(s - xi), fmt)
+            assert out == capsys.readouterr().out
+
+
+def test_tsystem_step_leaves_its_factors_unchanged(monkeypatch):
+    monkeypatch.setattr(engine, "_KR_CACHE", {})
+    assert verify_tsystem(D4, 3, 2, 0)
+    before = {key: dict(p.poly.terms) for key, p in engine._KR_CACHE.items()}
+    assert verify_tsystem(D4, 3, 2, 0)
+    assert {key: p.poly.terms
+            for key, p in engine._KR_CACHE.items()} == before
 
 
 def test_tsystem_inexact_numerator_names_its_step(monkeypatch):
@@ -220,17 +251,18 @@ def _traced_peak_mb(label, i, k):
 
 
 def test_tsystem_check_memory_d4():
-    # one working copy besides lhs and prod: 10.87 MB measured with
-    # Python 3.11 (15.06 MB when the check and the division each copied
+    # one working table of lhs - prod, with neither formed: 6.20 MB
+    # measured with Python 3.11 (10.87 MB with lhs, prod and a working
+    # copy of lhs; 15.06 MB when the check and the division each copied
     # the whole dividend), bound 15% above
-    assert _traced_peak_mb("D4", 3, 2) <= 10.87 * 1.15
+    assert _traced_peak_mb("D4", 3, 2) <= 6.20 * 1.15
 
 
 @pytest.mark.slow
 def test_tsystem_check_memory_d4_length_three():
-    # 355.0 MB measured with Python 3.11 (497.5 MB with whole copies),
-    # bound 15% above
-    assert _traced_peak_mb("D4", 3, 3) <= 355.0 * 1.15
+    # 207.0 MB measured with Python 3.11 (355.0 MB with lhs, prod and a
+    # working copy of lhs; 497.5 MB with whole copies), bound 15% above
+    assert _traced_peak_mb("D4", 3, 3) <= 207.0 * 1.15
 
 
 @pytest.mark.parametrize("label, i, k, dim", [

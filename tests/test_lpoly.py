@@ -4,8 +4,8 @@ from heapq import heappush
 import pytest
 
 from qloop import lpoly
-from qloop.lpoly import (EXP_MAX, LPoly, is_product_plus, mono, mono_mul,
-                         mono_pow)
+from qloop.lpoly import (EXP_MAX, LPoly, add_product, divide_table, mono,
+                         mono_mul, mono_pow, product_difference)
 
 # The three key shapes the package uses: plain names, (node, shift)
 # Y-variables and tagged cluster variables.  Keys of one monomial must be
@@ -236,28 +236,43 @@ def test_divisions_leave_both_operands_unchanged():
                       "inexact polynomial division (coefficient)"}
 
 
-def test_product_plus_matches_the_expanded_identity():
+def _holds(box, table):
+    """Whether box holds every monomial of table, digit by digit."""
+    return lpoly._box([*box, *table]) == box
+
+
+def test_product_difference_residual_matches_the_expanded_identity():
     rng = random.Random(23)
+    held = 0
     for trial in range(300):
         keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
-        a = LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
-        b = LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
-        c = LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
-        f = a * b + c
-        if trial % 3 == 1:
-            # c cancels part of a * b, so f is shorter than either
-            c = c - LPoly(dict(list((a * b).items())[::2]))
-            f = a * b + c
-        elif trial % 3 == 2:
+        a, b, c, d, e, h = (LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
+                            for _ in range(6))
+        if trial % 3 == 0:
+            # a * b - c * d = e * h, c * d meeting keys a * b lacks
+            a, b = e * h + c * d, LPoly.one()
+        elif trial % 3 == 1:
+            # c * d cancels part of a * b, so the table is shorter
+            c, d = a, LPoly(dict(b.items()[::2]))
+            e, h = a, b - d
+        else:
             # one coefficient off, or a term gained
             m = mono((k, rng.randint(-3, 3)) for k in rng.sample(keys, 2))
-            f = f + LPoly.monomial(m, rng.choice([-2, -1, 1, 2]))
-        before = [dict(p.terms) for p in (f, a, b, c)]
-        assert is_product_plus(f, a, b, c) == (f == a * b + c)
-        assert [p.terms for p in (f, a, b, c)] == before
+            a = e * h + c * d + LPoly.monomial(m, rng.choice([-1, 1]))
+            b = LPoly.one()
+        before = [dict(p.terms) for p in (a, b, c, d, e, h)]
+        table, box = product_difference(a, b, c, d)
+        assert table == (a * b - c * d).terms
+        assert box is None if not (a * b or c * d) else _holds(box, table)
+        add_product(table, e, h, -1)
+        assert table == (a * b - c * d - e * h).terms
+        assert (not table) == (a * b - c * d == e * h)
+        held += a * b - c * d == e * h
+        assert [p.terms for p in (a, b, c, d, e, h)] == before
+    assert 100 <= held < 300
 
 
-def test_product_plus_overflows_exactly_when_the_product_does():
+def test_product_difference_overflows_exactly_when_a_product_does():
     rng = random.Random(29)
     raised = 0
     for _ in range(200):
@@ -269,16 +284,73 @@ def test_product_plus_overflows_exactly_when_the_product_does():
         def near_bound():
             return LPoly({mono((k, exponent()) for k in ("x", "y")):
                           rng.randint(1, 3) for _ in range(rng.randint(1, 3))})
-        a, b, c = near_bound(), near_bound(), LPoly.var("x")
+        a, b, x = near_bound(), near_bound(), LPoly.var("x")
         try:
             a * b
         except OverflowError:
             raised += 1
+            for args in ((a, b, x, x), (x, x, a, b)):
+                with pytest.raises(OverflowError):
+                    product_difference(*args)
             with pytest.raises(OverflowError):
-                is_product_plus(LPoly.zero(), a, b, c)
+                add_product({}, a, b, -1)
         else:
-            is_product_plus(c, a, b, c)
+            table, box = product_difference(x, x, a, b)
+            assert table == (x * x - a * b).terms and _holds(box, table)
     assert 0 < raised < 200
+
+
+def test_table_division_agrees_with_exact_div():
+    # the table of f + c * d - c * d over g, whose box from the factors
+    # is wider than f's own, against f / g
+    rng = random.Random(31)
+    exact = 0
+    for trial in range(300):
+        keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
+        g = LPoly(rand_terms(rng, keys, rng.randint(1, 4)))
+        if not g:
+            continue
+        if trial % 2:
+            f = LPoly(naive_mul(rand_terms(rng, keys, rng.randint(1, 6)),
+                                dict(g.items())))
+        else:
+            f = LPoly(rand_terms(rng, keys, rng.randint(1, 8)))
+        c, d = (LPoly(rand_terms(rng, keys, rng.randint(0, 4)))
+                for _ in range(2))
+        table, box = product_difference(f + c * d, LPoly.one(), c, d)
+        before = dict(table)
+        try:
+            want = f.exact_div(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="inexact"):
+                divide_table(table, box, g)
+        else:
+            assert divide_table(table, box, g) == want
+            exact += 1
+        assert table == before
+    assert 100 <= exact < 300
+
+
+def test_wide_table_box_never_overflows_by_itself():
+    # x^E cancels from the table, so its box from the factors reaches
+    # x^E while the table's own does not: (x^-1 + x^-2) / (x^-1 + x^-2)
+    # fits, and 1 / (x^-1 + x^-2) is inexact, not an overflow
+    one = LPoly.one()
+    g = LPoly.var("x", -1) + LPoly.var("x", -2)
+    top = LPoly.var("x", EXP_MAX)
+    for f in (g, one):
+        table, box = product_difference(f + top, one, top, one)
+        assert table == f.terms and box != lpoly._box(f.terms)
+        if f == g:
+            assert divide_table(table, box, g) == one
+        else:
+            with pytest.raises(ValueError, match=r"\(monomial\)"):
+                divide_table(table, box, g)
+    # a quotient that does leave the range still overflows
+    f = top + LPoly.var("x", EXP_MAX - 1)
+    table, box = product_difference(f, one, LPoly.zero(), one)
+    with pytest.raises(OverflowError):
+        divide_table(table, box, g)
 
 
 def test_laurent_division_with_negative_exponents():
