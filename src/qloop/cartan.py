@@ -40,8 +40,8 @@ class CartanData:
     Equal data compare and hash equal, so a CartanData can key a cache.
     """
 
-    __slots__ = ("type_label", "n", "edges", "xi", "_adjacent", "_roots",
-                 "_root_set")
+    __slots__ = ("type_label", "n", "edges", "xi", "_adjacent", "_neighbors",
+                 "_roots", "_root_set")
 
     def __init__(self, type_label: str, n: int, edges: tuple, xi: tuple):
         self.type_label = type_label
@@ -61,6 +61,8 @@ class CartanData:
             raise InvalidInputError("graph must be a connected tree (ADE)")
         self._assert_ade()
         self._adjacent = frozenset(edges) | {(v, u) for u, v in edges}
+        self._neighbors = {i: tuple(sorted(v for u, v in self._adjacent
+                                           if u == i)) for i in self.nodes()}
         self._roots = self._root_set = None
 
     def _fields(self) -> tuple:
@@ -149,8 +151,7 @@ class CartanData:
         return -1 if (i, j) in self._adjacent else 0
 
     def neighbors(self, i: int) -> tuple:
-        return tuple(sorted(v for e in self.edges for u, v in (e, e[::-1])
-                            if u == i))
+        return self._neighbors.get(i, ())
 
     def check_node(self, i: int):
         if not (1 <= i <= self.n):

@@ -33,12 +33,18 @@ def _csv_ints(text: str) -> tuple:
         raise InvalidInputError(f"bad integer list {text!r}: {exc}")
 
 
-def _monomial_json(text: str) -> YMonomial:
+def _triples(text: str, what: str) -> list:
+    """A JSON list of [i, s, e] triples of ints (a bool is not an int)."""
     try:
         data = json.loads(text)
-        return YMonomial.from_triples(tuple(map(tuple, data)))
-    except (ValueError, TypeError) as exc:
-        raise InvalidInputError(f"bad monomial JSON {text!r}: {exc}")
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {what} JSON {text!r}: {exc}")
+    if not isinstance(data, list) or not all(
+            isinstance(t, list) and len(t) == 3
+            and all(type(x) is int for x in t) for t in data):
+        raise InvalidInputError(
+            f"bad {what} JSON {text!r}: need a list of integer triples")
+    return [tuple(t) for t in data]
 
 
 def _emit_poly(p: YPolynomial, fmt: str):
@@ -156,7 +162,8 @@ def _run(args) -> int:
             _emit_poly(sl2.kr_qchar_sl2(args.k, args.s), fmt)
             return 0
         if args.command == "factor":
-            segs = sl2.canonical_segments(_monomial_json(args.monomial))
+            segs = sl2.canonical_segments(YMonomial.from_triples(
+                _triples(args.monomial, "monomial")))
             data = [{"origin": s.origin, "length": s.length} for s in segs]
             print(json.dumps(data) if fmt == "json"
                   else " ".join(f"segment(origin={s.origin},length={s.length})"
@@ -193,11 +200,7 @@ def _run(args) -> int:
             return 0
         if args.command == "standard":
             from . import preproj
-            try:
-                data = json.loads(args.w)
-                w = {(int(i), int(r)): int(mult) for i, r, mult in data}
-            except (ValueError, TypeError) as exc:
-                raise InvalidInputError(f"bad W JSON: {exc}")
+            w = {(i, r): mult for i, r, mult in _triples(args.w, "W")}
             _emit_poly(preproj.standard_qchar(c, w), fmt)
             return 0
         if args.command == "kr":

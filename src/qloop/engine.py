@@ -17,7 +17,8 @@ from . import lpoly, preproj, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError
 from .lpoly import LPoly
-from .ymono import (YMonomial, YPolynomial, a_monomial_exps, is_dominant)
+from .ymono import (YMonomial, YPolynomial, a_monomial_exps, highest_monomial,
+                    is_dominant)
 
 
 class KRLabel(namedtuple("KRLabel", "i k s")):
@@ -403,21 +404,12 @@ def trunc_qchar_c1(c: CartanData, m: YMonomial, cap: int = 100000) -> YPolynomia
     return out
 
 
-def unique_dominant_monomial(p: YPolynomial) -> YMonomial:
-    """The single dominant monomial of p; raises when not minuscule-shaped."""
-    from .ymono import dominant_terms
-    dom = list(dominant_terms(p).terms())
-    if len(dom) != 1 or dom[0][1] != 1:
-        raise ConsistencyError("polynomial does not have a unique dominant "
-                               "monomial with coefficient one")
-    return dom[0][0]
-
-
 def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> list[dict]:
     """Experimental level >= 2 bookkeeping for the seed-to-KR dictionary.
 
     Checks that each initial vertex's KR class has the announced highest
-    monomial (and is minuscule as computed), then that the cluster type
+    monomial (`highest_monomial`: its one dominant monomial, with
+    coefficient 1, above every term), then that the cluster type
     found within the cap is the expected one.  No simple-module
     q-characters beyond level 1 are claimed.
     """
@@ -433,7 +425,7 @@ def verify_iota(c: CartanData, ell: int, cap: int = 100000) -> list[dict]:
             poly = kr_qchar(c, KRLabel(i, length, s))
             expected = YMonomial([((i, s + 2 * j), 1) for j in range(length)])
             try:
-                top = unique_dominant_monomial(poly)
+                top = highest_monomial(c, poly)
                 ok = top == expected
             except ConsistencyError:
                 ok = False

@@ -4,14 +4,17 @@ Matrices are lists of row lists acting on column vectors.  Subspaces of
 F_p^n are represented by basis matrices, one basis vector per row; a
 basis is not canonical unless it is the row set of an `rref`.  Over F_p
 entries are plain ints, and the functions given a GF reduce them `% p`.
+`cokernel` is the one integer quotient rule: the knitted injectives and
+the reflected Dynkin indecomposables both take their spaces from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
 from operator import mul
+
+from .errors import ConsistencyError
 
 
 class QQ:
@@ -134,19 +137,22 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def primitive_int_vector(vec):
-    """Scale a Fraction vector to a primitive integer vector."""
-    denoms = [Fraction(x).denominator for x in vec]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def cokernel(images, width):
+    """Classes of the coordinate vectors of Q^width modulo span(images).
+
+    images are row vectors of length width.  The quotient's basis is the
+    non-pivot coordinates of rref(images): row k of the result is the
+    class of coordinate vector k, as integers in that basis.  Raises
+    ConsistencyError if a class is not integral.
+    """
+    red, pivots = rref(images, QQ) if images else ([], [])
+    free = [k for k in range(width) if k not in pivots]
+    cls = [[int(k == f) for f in free] for k in range(width)]
+    for row, pc in zip(red, pivots):
+        if any(row[f].denominator != 1 for f in free):
+            raise ConsistencyError("cokernel has a non-integral class")
+        cls[pc] = [-int(row[f]) for f in free]
+    return cls
 
 
 # --- subspaces of F_p^n ---------------------------------------------------

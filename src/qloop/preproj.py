@@ -86,9 +86,10 @@ def injective_module(window: ZQWindow, i: int, r: int) -> QuiverRep:
     arrow a: v -> w, so e_v Lambda e_t is the cokernel of the mesh map
     e_(u,s-2) Lambda e_t -> (+)_a e_w Lambda e_t, q -> (b_w q)_w, where
     b_w is the arrow w -> (u, s-2).  Its basis is the non-pivot
-    coordinates of the map's rref.  The arrow matrices are the
-    transposed composition maps, with integer entries: row k of the
-    matrix of a: v -> w is the class of a times basis element k at w.
+    coordinates of the map's rref (`linalg.cokernel`).  The arrow
+    matrices are the transposed composition maps, with integer entries:
+    row k of the matrix of a: v -> w is the class of a times basis
+    element k at w.
     Raises when the support touches the top of the window (rebuild with
     a larger window).
     """
@@ -112,26 +113,15 @@ def injective_module(window: ZQWindow, i: int, r: int) -> QuiverRep:
         low = (v[0], v[1] - 2)
         mesh = [[x for (_, w) in arrows for x in mats[(w, low)][k]]
                 for k in range(dims.get(low, 0))]
-        width = sum(dims[w] for (_, w) in arrows)
-        red, pivots = linalg.rref(mesh, QQ) if mesh else ([], [])
-        free = [k for k in range(width) if k not in pivots]
-        dims[v] = len(free)
         # the class of each coordinate vector of (+)_a e_w Lambda e_t
-        cls = [[int(k == f) for f in free] for k in range(width)]
-        for row, pc in zip(red, pivots):
-            if any(row[f].denominator != 1 for f in free):
-                raise ConsistencyError(
-                    "injective has a non-integral arrow matrix")
-            cls[pc] = [-int(row[f]) for f in free]
+        cls = linalg.cokernel(mesh, sum(dims[w] for (_, w) in arrows))
+        dims[v] = len(cls[0]) if cls else 0
         start = 0
         for a in arrows:
             mats[a] = cls[start:start + dims[a[1]]]
             start += dims[a[1]]
 
     _assert_inside(window, dims, target)
-    for a in window.quiver.arrows:
-        if a not in mats:
-            mats[a] = linalg.zero_matrix(dims[a[1]], dims[a[0]])
     rep = QuiverRep(window.quiver, dims, mats)
     if not check_relations(window, rep):
         raise ConsistencyError("injective construction violates a relation")

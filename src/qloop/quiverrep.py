@@ -1,8 +1,10 @@
 """Representations of Dynkin quivers, as integer matrices.
 
-Provides indecomposables indexed by positive roots (built with
-reflection functors in the bipartite sink-source orientation), exact
-Hom/Ext dimensions, generic decompositions, and quiver-Grassmannian
+Provides indecomposables indexed by positive roots, built in the
+bipartite sink-source orientation by Bernstein-Gelfand-Ponomarev
+reflection functors whose new spaces are integer cokernels
+(`linalg.cokernel`, the rule that knits the preprojective injectives),
+exact Hom/Ext dimensions, generic decompositions, and quiver-Grassmannian
 point counts over F_p together with Euler characteristics obtained by
 polynomial interpolation of those counts.  A representation is its
 integer model alone: Hom and the rational ranks read it over Q, and a
@@ -12,7 +14,6 @@ walk over F_p reduces each entry it reads, so no copy mod p is kept.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
@@ -107,59 +108,30 @@ def euler_form(quiver: Quiver, d, e) -> int:
 
 # --- indecomposables via reflection functors ------------------------------
 
-def _coker_data(mat, field):
-    """For a map given by mat, return P with ker P = column span of mat.
+def _reflect_sources(M: QuiverRep, sources) -> QuiverRep:
+    """Reflection functor at pairwise non-adjacent sources of M's quiver.
 
-    P presents the cokernel: rows form a basis of the annihilator of the
-    image, so x -> P x identifies target/im with F^(corank).
+    The space at each source s becomes the cokernel of M_s -> (+)_t M_t,
+    the maps of its arrows s -> t stacked in quiver order, and each such
+    arrow turns into t -> s, sending a vector of M_t to its class
+    (`linalg.cokernel`, integral or a ConsistencyError).  Every other
+    space and arrow is kept.
     """
-    nrows = len(mat)
-    if nrows == 0:
-        return []
-    cols = linalg.transpose(mat)
-    return linalg.annihilator(cols, nrows, field)
-
-
-def _phi_minus(c: CartanData, spaces: dict, mats: dict):
-    """Inverse Coxeter functor on a rep of the sink-source quiver.
-
-    Stage 1 takes cokernels at the class-1 sources, stage 2 at the
-    class-0 nodes, landing back on the original orientation.
-    """
-    i1, i0 = c.i1(), c.i0()
-    # stage 1: N_i = coker(M_i -> sum of neighbor spaces), i in class 1
-    proj1 = {}
-    new_dim1 = {}
-    for i in i1:
-        nbrs = c.neighbors(i)
-        stacked = [[Fraction(x) for x in row]
-                   for j in nbrs for row in mats[(i, j)]]
-        proj = _coker_data(stacked, QQ)
-        proj1[i] = (proj, nbrs)
-        new_dim1[i] = len(proj)
-    # maps M_j -> N_i: restriction of proj to the j block
-    inter = {}
-    for i in i1:
-        proj, nbrs = proj1[i]
-        off = 0
-        for j in nbrs:
-            inter[(j, i)] = [row[off:off + spaces[j]] for row in proj]
-            off += spaces[j]
-    # stage 2: N_j = coker(M_j -> sum of N_i), j in class 0
-    out_dims = {}
-    out_mats = {}
-    for j in i0:
-        nbrs = c.neighbors(j)
-        stacked = [list(row) for i in nbrs for row in inter[(j, i)]]
-        proj = _coker_data(stacked, QQ)
-        out_dims[j] = len(proj)
-        off = 0
-        for i in nbrs:
-            out_mats[(i, j)] = [row[off:off + new_dim1[i]] for row in proj]
-            off += new_dim1[i]
-    for i in i1:
-        out_dims[i] = new_dim1[i]
-    return out_dims, out_mats
+    dims = dict(M.dims)
+    mats = {a: m for a, m in M.mats.items() if a[0] not in sources}
+    for s in sources:
+        out = [t for (u, t) in M.quiver.arrows if u == s]
+        images = [[row[k] for t in out for row in M.mats[(s, t)]]
+                  for k in range(M.dims[s])]
+        cls = linalg.cokernel(images, sum(M.dims[t] for t in out))
+        dims[s] = len(cls[0]) if cls else 0
+        start = 0
+        for t in out:
+            block = cls[start:start + M.dims[t]]
+            mats[(t, s)] = [[row[f] for row in block] for f in range(dims[s])]
+            start += M.dims[t]
+    return QuiverRep(Quiver(M.quiver.vertices, tuple(sorted(mats))), dims,
+                     mats)
 
 
 def _reflect_class(c: CartanData, beta: tuple, cls: int) -> tuple:
@@ -167,20 +139,6 @@ def _reflect_class(c: CartanData, beta: tuple, cls: int) -> tuple:
     return tuple(beta[j - 1] - (c.pairing(beta, j) if c.xi[j - 1] == cls
                                 else 0)
                  for j in c.nodes())
-
-
-def _projective_dims(c: CartanData) -> dict[int, tuple]:
-    pd = {}
-    for i in c.nodes():
-        if c.xi[i - 1] == 0:
-            pd[i] = c.simple_root(i)
-        else:
-            coords = [0] * c.n
-            coords[i - 1] = 1
-            for j in c.neighbors(i):
-                coords[j - 1] = 1
-            pd[i] = tuple(coords)
-    return pd
 
 
 _INDEC_CACHE: dict = {}
@@ -198,11 +156,7 @@ def indecomposable_rep(c: CartanData, beta) -> QuiverRep:
 
 
 def _build_indec(c: CartanData, beta: tuple) -> QuiverRep:
-    quiver = Quiver.sink_source(c)
-    spaces, mats = _indec_spaces(c, beta)
-    int_mats = _integerize(c, spaces, mats)
-    rep = QuiverRep(quiver, {v: spaces[v] for v in quiver.vertices},
-                    {a: int_mats[a] for a in quiver.arrows})
+    rep = _indec(c, beta)
     if rep.dim_vector() != beta:
         raise ConsistencyError("reflection functors produced a wrong dimension")
     if hom_dim(rep, rep) != 1:
@@ -210,63 +164,24 @@ def _build_indec(c: CartanData, beta: tuple) -> QuiverRep:
     return rep
 
 
-def _zero_mats(c: CartanData, spaces):
-    return {(s, t): [[Fraction(0)] * spaces.get(s, 0)
-                     for _ in range(spaces.get(t, 0))]
-            for (s, t) in Quiver.sink_source(c).arrows}
-
-
-def _indec_spaces(c: CartanData, beta: tuple):
-    simple = {c.simple_root(i): i for i in c.nodes()}
-    if beta in simple:
-        i = simple[beta]
-        spaces = {v: (1 if v == i else 0) for v in c.nodes()}
-        return spaces, _zero_mats(c, spaces)
-    projective = {v: k for k, v in _projective_dims(c).items()
-                  if c.xi[k - 1] == 1}
-    if beta in projective:
-        i = projective[beta]
-        spaces = {v: 0 for v in c.nodes()}
-        spaces[i] = 1
-        for j in c.neighbors(i):
-            spaces[j] = 1
-        mats = _zero_mats(c, spaces)
-        for j in c.neighbors(i):
-            mats[(i, j)] = [[Fraction(1)]]
-        return spaces, mats
-    # the Coxeter element on dimension vectors: class 0, then class 1
+def _indec(c: CartanData, beta: tuple) -> QuiverRep:
+    """A simple, the projective at a class-1 source, or else the inverse
+    Coxeter functor on the indecomposable at the Coxeter image of beta:
+    reflect at the class-1 nodes, then at the class-0 nodes, as
+    _reflect_class does on dimension vectors."""
+    quiver = Quiver.sink_source(c)
+    dims = dict(zip(c.nodes(), beta))
+    if sum(beta) == 1:
+        return QuiverRep(quiver, dims, {})
+    for i in c.i1():
+        nbrs = c.neighbors(i)
+        if beta == tuple(int(v == i or v in nbrs) for v in c.nodes()):
+            return QuiverRep(quiver, dims, {(i, j): [[1]] for j in nbrs})
     gamma = _reflect_class(c, _reflect_class(c, beta, 0), 1)
     if not c.is_positive_root(gamma):
         raise ConsistencyError(f"Coxeter step left the root system at {beta}")
-    sub_spaces, sub_mats = _indec_spaces(c, gamma)
-    return _phi_minus(c, sub_spaces, sub_mats)
-
-
-def _integerize(c: CartanData, spaces, mats):
-    """Clear denominators columnwise (a basis rescaling at each source)."""
-    quiver = Quiver.sink_source(c)
-    full = {}
-    for (s, t) in quiver.arrows:
-        m = mats.get((s, t))
-        if m is None or spaces.get(s, 0) == 0 or spaces.get(t, 0) == 0:
-            full[(s, t)] = [[Fraction(0)] * spaces.get(s, 0)
-                            for _ in range(spaces.get(t, 0))]
-        else:
-            full[(s, t)] = [[Fraction(x) for x in row] for row in m]
-    for i in c.i1():
-        for col in range(spaces.get(i, 0)):
-            column = []
-            for j in c.neighbors(i):
-                column.extend(row[col] for row in full[(i, j)])
-            if not any(column):
-                continue
-            scaled = linalg.primitive_int_vector(column)
-            pos = 0
-            for j in c.neighbors(i):
-                for r in range(spaces.get(j, 0)):
-                    full[(i, j)][r][col] = Fraction(scaled[pos])
-                    pos += 1
-    return {a: [[int(x) for x in row] for row in m] for a, m in full.items()}
+    return _reflect_sources(_reflect_sources(_indec(c, gamma), c.i1()),
+                            c.i0())
 
 
 # --- Hom, Ext, generic decomposition --------------------------------------

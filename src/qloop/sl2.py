@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cartan import CartanData
-from .errors import InvalidInputError, SingularityError
+from .errors import ConsistencyError, InvalidInputError, SingularityError
 from .ymono import YMonomial, YPolynomial, is_dominant
 
 A1 = CartanData.from_label("A1")
@@ -101,7 +101,8 @@ def canonical_segments(m: YMonomial) -> list[Segment]:
     for seg in segments:
         for s in seg.points():
             prod = prod * YMonomial.y(1, s)
-    assert prod == m
+    if prod != m:
+        raise ConsistencyError("segments do not multiply back to the monomial")
     return sorted(segments)
 
 

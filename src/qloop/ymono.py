@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import lpoly
 from .cartan import CartanData
-from .errors import InvalidInputError
+from .errors import ConsistencyError, InvalidInputError
 
 __all__ = [
     "CartanData", "YMonomial", "YPolynomial", "WeightVector",
@@ -262,30 +262,34 @@ def a_factorize(c: CartanData, numerator: YMonomial,
     The A-exponent vectors are linearly independent, so the solution is
     found by peeling spectral levels from the top; it is unique.
     """
-    ratio = dict((numerator / denominator).key)
+    ratio = (numerator / denominator).key
     if not ratio:
         return {}
-    levels = [s for (_, s) in ratio]
+    n = c.n
+    levels = [s for (_, s), _ in ratio]
     lo, hi = min(levels), max(levels)
+    # the exponent of Y[i,t] is cells[(t - lo) * n + i - 1]
+    cells = [0] * (n * (hi - lo + 1))
+    for (i, s), e in ratio:
+        if not 1 <= i <= n:
+            return None  # no A-monomial has a Y at a node outside 1..n
+        cells[(s - lo) * n + i - 1] = e
+    nodes = [(i, c.neighbors(i)) for i in c.nodes()]
     v: dict[tuple[int, int], int] = {}
     for s in range(hi - 1, lo, -1):
-        for i in c.nodes():
-            e = ratio.get((i, s + 1), 0)
-            if e == 0:
-                continue
+        at = (s - lo) * n - 1  # Y[i,s] is at cells[at + i]
+        for i, around in nodes:
             # only A[i,s] can still produce Y[i,s+1]
-            for key, de in a_monomial_exps(c, i, s).key:
-                r = ratio.get(key, 0) - de * e
-                if r:
-                    ratio[key] = r
-                else:
-                    ratio.pop(key, None)
-            v[(i, s)] = v.get((i, s), 0) + e
-    if ratio:
-        return None
-    if any(e < 0 for e in v.values()):
-        return None
-    return {k: e for k, e in v.items() if e}
+            e = cells[at + n + i]
+            if e < 0:
+                return None
+            if e:
+                cells[at + n + i] = 0
+                cells[at - n + i] -= e
+                for j in around:
+                    cells[at + j] += e
+                v[(i, s)] = e
+    return None if any(cells) else v
 
 
 def dominant_terms(p: YPolynomial) -> YPolynomial:
@@ -294,12 +298,20 @@ def dominant_terms(p: YPolynomial) -> YPolynomial:
 
 
 def highest_monomial(c: CartanData, p: YPolynomial) -> YMonomial:
-    """The unique monomial of p dominating all others; checked exactly."""
-    cands = [m for m, _ in p.terms() if is_dominant(m)]
-    for m in cands:
-        if all(a_factorize(c, m, other) is not None for other, _ in p.terms()):
-            return m
-    raise InvalidInputError("polynomial has no highest monomial")
+    """The single dominant monomial of p, checked exactly.
+
+    Raises ConsistencyError unless p has exactly one dominant monomial,
+    with coefficient 1, and every term of p lies below it (a_factorize).
+    """
+    dom = list(dominant_terms(p).terms())
+    if len(dom) != 1 or dom[0][1] != 1:
+        raise ConsistencyError("polynomial does not have a unique dominant "
+                               "monomial with coefficient one")
+    top = dom[0][0]
+    if any(a_factorize(c, top, m) is None for m, _ in p.terms()):
+        raise ConsistencyError("the dominant monomial does not dominate "
+                               "every term")
+    return top
 
 
 def truncate_c1(c: CartanData, p: YPolynomial, top: YMonomial) -> YPolynomial:

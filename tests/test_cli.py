@@ -83,6 +83,22 @@ def test_qchar_standard(capsys):
     assert code == 0 and len(json.loads(out)["terms"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("qchar", "standard", "--type", "A1", "--w", "[[1, 0.5, 1]]"),
+    ("qchar", "standard", "--type", "A1", "--w", "[[1, 0, 1.9]]"),
+    ("qchar", "standard", "--type", "A1", "--w", "[[1, 0, true]]"),
+    ("qchar", "standard", "--type", "A1", "--w", '[["1", 0, 1]]'),
+    ("qchar", "standard", "--type", "A1", "--w", "[[1, 0]]"),
+    ("sl2", "factor", "--monomial", "[[1, 0.5, 1]]"),
+    ("sl2", "factor", "--monomial", "[[1, 0, true]]"),
+    ("sl2", "factor", "--monomial", "[[1, 0, 1.0]]"),
+    ("sl2", "factor", "--monomial", '{"1": [0, 1]}'),
+])
+def test_non_integer_json_entries_are_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "integer triples" in err
+
+
 def test_cluster_commands(capsys):
     code, out, _ = run(capsys, "cluster", "enumerate", "--type", "A3",
                        "--level", "1", "--format", "json")

@@ -15,15 +15,14 @@ from qloop.cartan import CartanData
 from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
                           frozen_monomial, gr_series, kr_qchar, level1_graph,
                           simple_trunc_qchar_c1, trunc_qchar_c1,
-                          unique_dominant_monomial, verify_iota, verify_l1,
-                          verify_tsystem, y_alpha)
+                          verify_iota, verify_l1, verify_tsystem, y_alpha)
 from qloop.cli import main
 from qloop.errors import ConsistencyError, InvalidInputError
 from qloop.lpoly import LPoly
 from qloop.quiverrep import euler_series, indecomposable_rep
 from qloop.sl2 import kr_qchar_sl2
 from qloop.ymono import (YMonomial, YPolynomial, dominant_terms,
-                         truncate_c1)
+                         highest_monomial, truncate_c1)
 
 A1 = CartanData.from_label("A1")
 A2 = CartanData.from_label("A2")
@@ -97,7 +96,7 @@ def test_shared_tsystem_step_matches_the_uncached_recursion(monkeypatch, c, i):
 
 def test_kr_a3_length_two_is_minuscule():
     poly = kr_qchar(A3, KRLabel(1, 2, 0))
-    assert unique_dominant_monomial(poly) == Y((1, 0, 1), (1, 2, 1))
+    assert highest_monomial(A3, poly) == Y((1, 0, 1), (1, 2, 1))
 
 
 def test_kr_minuscule_across_types():
@@ -105,7 +104,7 @@ def test_kr_minuscule_across_types():
         for i in c.nodes():
             for k in range(1, kmax + 1):
                 poly = kr_qchar(c, KRLabel(i, k, c.xi[i - 1]))
-                unique_dominant_monomial(poly)  # raises when not minuscule
+                highest_monomial(c, poly)  # raises when not minuscule
 
 
 def test_rank_one_exchange_identity():
@@ -311,7 +310,7 @@ def test_simple_trunc_at_a_source_root():
     beta = A3.simple_root(i)
     poly = simple_trunc_qchar_c1(A3, beta)
     assert poly.n_monomials() == 2
-    top = unique_dominant_monomial(poly)
+    top = highest_monomial(A3, poly)
     assert top == Y((i, 1, 1))
 
 
@@ -467,7 +466,7 @@ def test_verify_iota_rank_one():
 
 
 def test_qcharacters_have_a_unique_highest_monomial():
-    from qloop.ymono import a_factorize, highest_monomial
+    from qloop.ymono import a_factorize
     from qloop.preproj import fundamental_qchar
     cases = [
         (A3, fundamental_qchar(A3, 2, 1)),
@@ -478,6 +477,29 @@ def test_qcharacters_have_a_unique_highest_monomial():
         top = highest_monomial(c, poly)
         assert poly.coeff(top) == 1
         assert all(a_factorize(c, top, m) is not None for m, _ in poly.terms())
+
+
+def test_highest_monomial_rejects_what_is_not_highest():
+    top = YPolynomial.from_monomial(Y((1, 0, 1)))
+    below = YPolynomial.from_monomial(Y((1, 2, -1)))
+    for poly in (top + top + below,  # coefficient 2
+                 top + below + YPolynomial.from_monomial(Y((1, 8, 1))),
+                 top + YPolynomial.from_monomial(Y((1, 4, -1)))):  # not below
+        with pytest.raises(ConsistencyError):
+            highest_monomial(A1, poly)
+    assert highest_monomial(A1, top + below) == Y((1, 0, 1))
+
+
+def test_verify_iota_fails_on_a_term_above_the_highest_monomial(monkeypatch):
+    true_kr = engine.kr_qchar
+
+    def kr_with_a_stray_term(c, lbl):
+        stray = YPolynomial.from_monomial(Y((lbl.i, lbl.s + 40, -1)))
+        return true_kr(c, lbl) + (stray if lbl.k == 2 else 0)
+
+    monkeypatch.setattr(engine, "kr_qchar", kr_with_a_stray_term)
+    report = verify_iota(A1, 1)
+    assert [entry["pass"] for entry in report] == [False, True, True]
 
 
 def test_simple_trunc_is_top_monomial_times_fpoly():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qloop import linalg
+from qloop.errors import ConsistencyError
 from qloop.linalg import GF
 
 
@@ -71,3 +72,18 @@ def test_subspaces_of_an_rref_basis_come_in_rref():
                 for k in range(r + 1):
                     for sub in linalg.subspaces_of(basis, k, field):
                         assert linalg.rref(sub, field)[0] == sub, (p, basis)
+
+
+def test_cokernel_gives_integer_classes():
+    # Q^3 / span((1,1,0), (0,1,1)) is read by x -> x0 - x1 + x2
+    assert linalg.cokernel([[1, 1, 0], [0, 1, 1]], 3) == [[1], [-1], [1]]
+    assert linalg.cokernel([[0, 2, 0]], 3) == [[1, 0], [0, 0], [0, 1]]
+    assert linalg.cokernel([[1, 0], [0, 1]], 2) == [[], []]
+    assert linalg.cokernel([], 3) == linalg.identity(3)
+    assert linalg.cokernel([], 0) == []
+
+
+def test_cokernel_rejects_a_non_integral_class():
+    # e0 = -e1/2 modulo (2, 1)
+    with pytest.raises(ConsistencyError):
+        linalg.cokernel([[2, 1]], 2)

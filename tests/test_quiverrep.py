@@ -65,13 +65,25 @@ def test_indecomposable_rejects_non_roots():
         indecomposable_rep(A2, (0, 0))
 
 
-def test_every_root_gives_a_rigid_indecomposable():
-    for c in (A2, A3, D4):
+def _assert_rigid_indecomposables(labels):
+    for label in labels:
+        c = CartanData.from_label(label)
         for beta in c.positive_roots():
             m = indecomposable_rep(c, beta)
             assert m.dim_vector() == beta
+            assert all(type(x) is int for mat in m.mats.values()
+                       for row in mat for x in row)
             assert hom_dim(m, m) == 1
             assert ext1_dim(m, m) == 0
+
+
+def test_every_root_gives_a_rigid_indecomposable():
+    _assert_rigid_indecomposables(("A2", "A3", "D4", "D5", "E6"))
+
+
+@pytest.mark.slow
+def test_every_e7_and_e8_root_gives_a_rigid_indecomposable():
+    _assert_rigid_indecomposables(("E7", "E8"))
 
 
 def test_hom_ext_examples():

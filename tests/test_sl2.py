@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qloop.errors import InvalidInputError, SingularityError
+from qloop.errors import ConsistencyError, InvalidInputError, SingularityError
 from qloop.sl2 import (Segment, canonical_segments, kr_qchar_sl2,
                        r_matrix_sl2, segments_in_special_position,
                        simple_qchar_sl2, verify_yang_baxter)
@@ -68,6 +68,15 @@ def test_canonical_segments_rejects_bad_input():
         canonical_segments(Y((1, 0, -1)))
     with pytest.raises(InvalidInputError):
         canonical_segments(Y((2, 0, 1)))
+
+
+def test_canonical_segments_checks_the_product(monkeypatch):
+    # the check must survive python -O, so it is not an assert
+    true_points = Segment.points
+    monkeypatch.setattr(Segment, "points",
+                        lambda seg: true_points(seg)[:-1])
+    with pytest.raises(ConsistencyError):
+        canonical_segments(Y((1, 0, 1), (1, 2, 1)))
 
 
 def test_canonical_segments_random_roundtrip():
