@@ -48,12 +48,11 @@ def _triples(text: str, what: str) -> list:
 
 
 def _emit_poly(p: YPolynomial, fmt: str):
-    if fmt == "json":
-        print(json.dumps(poly_to_json(p)))
-    elif fmt == "latex":
-        print(render_latex(p))
-    else:
-        print(render_text(p))
+    """Write p to stdout term by term, so no whole rendering is held."""
+    render = {"json": poly_to_json, "latex": render_latex}.get(fmt,
+                                                                 render_text)
+    render(p, sys.stdout)
+    sys.stdout.write("\n")
 
 
 def _report_exit(report, fmt: str) -> int:
@@ -200,7 +199,8 @@ def _run(args) -> int:
             return 0
         if args.command == "standard":
             from . import preproj
-            w = {(i, r): mult for i, r, mult in _triples(args.w, "W")}
+            # a repeated (i, r) adds its multiplicities, as in `sl2 factor`
+            w = YMonomial.from_triples(_triples(args.w, "W")).exps()
             _emit_poly(preproj.standard_qchar(c, w), fmt)
             return 0
         if args.command == "kr":

@@ -57,7 +57,10 @@ def _kr(c: CartanData, i: int, k: int) -> YPolynomial:
     elif k == 1:
         val = preproj.fundamental_qchar(c, i, s)
     else:
-        val = _tsystem_step(c, i, k - 1)[0]
+        val, ok = _tsystem_step(c, i, k - 1)
+        if not ok:
+            raise ConsistencyError(f"T-system residual is not zero at "
+                                   f"(i={i}, k={k}, s={s})")
     _KR_CACHE[key] = val
     return val
 
@@ -66,36 +69,59 @@ def _tsystem_step(c: CartanData, i: int, k: int) -> tuple:
     """Solve the T-system at s = xi_i for T_(k+1), cached under (c, i, k+1).
 
     lhs = T_k(s) T_k(s+2) equals T_(k+1)(s) T_(k-1)(s+2) + prod, prod the
-    product of T_k^(j)(s+1) over the neighbors j of i.  The step builds
-    one working table of lhs - prod, from the term pairs of T_k(s) T_k(s+2)
-    and of the last neighbor's factor times the product of the others,
-    so neither lhs nor prod is formed, and divides it in place; the
-    division must be exact.  Returns (T_(k+1), the table, T_(k-1)(s+2)).
+    product of T_k^(j)(s+1) over the neighbors j of i.  The step hands
+    the term pairs of lhs and of prod (the last neighbor's factor times
+    the product of the others) to `lpoly.graded_quotient`, which divides
+    lhs - prod by T_(k-1)(s+2) one grade at a time and checks each
+    slab's residual, so neither lhs, prod nor their difference is
+    formed.
+
+    The grade of Y_(j,t) is r_j, the coefficient of alpha_j in 2 rho
+    (the sum of the positive roots).  Since sum_j C_jl r_j =
+    <2 rho, alpha_l> = 2, every A_(l,a) has grade 2, and every monomial
+    of a KR q-character is its highest monomial times A^-1 factors
+    (Frenkel-Mukhin), so the divisor's top grade holds its highest
+    monomial alone; the kernel checks this rather than assuming it.
+    Quotient grades are confined to [h_min - g_min, h_max - g_top], so
+    a slab left over below that range, a quotient monomial outside the
+    digit box or a coefficient that does not divide ends in
+    ConsistencyError.  Returns (T_(k+1), residual ok); T_(k+1) is None
+    and not cached when a residual is not empty.
     """
     s = c.xi[i - 1]
     factors = [_kr_at(c, j, k, s + 1).poly for j in c.neighbors(i)]
     last = factors.pop() if factors else LPoly.one()
     others = reduce(mul, factors) if factors else LPoly.one()
-    table, box = lpoly.product_difference(
-        _kr(c, i, k).poly, _kr_at(c, i, k, s + 2).poly, last, others)
-    den = _kr_at(c, i, k - 1, s + 2)
+    two_rho = [sum(col) for col in zip(*c.positive_roots())]
+    products = [(last, others, -1),
+                (_kr(c, i, k).poly, _kr_at(c, i, k, s + 2).poly, 1)]
     try:
-        top = YPolynomial(lpoly.divide_table(table, box, den.poly))
+        top, ok = lpoly.graded_quotient(
+            products, _kr_at(c, i, k - 1, s + 2).poly,
+            lambda key: two_rho[key[0] - 1])
     except ValueError as exc:
         raise ConsistencyError(f"T-system division failed at "
                                f"(i={i}, k={k + 1}, s={s}): {exc}")
-    _KR_CACHE[(c, i, k + 1)] = top
-    return top, table, den
+    if ok:
+        top = _KR_CACHE[(c, i, k + 1)] = YPolynomial(top)
+    return top, ok
 
 
 def verify_tsystem(c: CartanData, i: int, k: int, s: int) -> bool:
     """Exact check of the T-system identity at (i, k, s).
 
-    The identity lhs = T_(k+1)(s) T_(k-1)(s+2) + prod is checked as a
-    residual in the step's own table of lhs - prod, which the division
-    only read: every term pair of T_(k+1)(s) T_(k-1)(s+2) is subtracted
-    from it, entries that reach 0 are deleted, and the table must end
-    empty.  Neither the product nor a copy of lhs is formed.
+    The identity lhs = T_(k+1)(s) T_(k-1)(s+2) + prod is checked grade
+    by grade inside the step.  Y_(j,t) has grade r_j, the coefficient
+    of alpha_j in 2 rho, so every A_(l,a) has grade 2, and the step
+    checks that the divisor's top grade holds one term.  The quotient's
+    grades then lie in [h_min - g_min, h_max - g_top], with [h_min,
+    h_max] the grades of lhs and prod and [g_min, g_top] those of
+    T_(k-1)(s+2), and every term of both sides has a grade in [h_min,
+    h_max].  Each slab's residual, (lhs - prod)_h minus every term pair
+    of T_(k+1) T_(k-1)(s+2) landing in grade h, is recomputed from the
+    slab, not from the division's remainder, and must be empty; so the
+    identity holds iff every residual is empty.  Neither product nor
+    lhs - prod is formed.  An inexact division raises ConsistencyError.
 
     The check runs at the base shift xi_i: shifting every spectral
     exponent by s - xi_i is an injective ring map taking each term at
@@ -105,9 +131,7 @@ def verify_tsystem(c: CartanData, i: int, k: int, s: int) -> bool:
     if k < 1:
         raise InvalidInputError("T-system check needs k >= 1")
     c.check_node(i)
-    top, table, den = _tsystem_step(c, i, k)
-    lpoly.add_product(table, top.poly, den.poly, -1)
-    return not table
+    return _tsystem_step(c, i, k)[1]
 
 
 # --- level-1 dictionary -----------------------------------------------------

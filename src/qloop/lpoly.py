@@ -12,11 +12,12 @@ and the monomial prod x_k^e_k is the int sum e_k * 2**(W * slot_k) with
 signed (balanced) digits of W bits.  The unit monomial is 0, a product
 of monomials is an int sum and an inverse is a negation.  Comparing the
 ints is a group order on monomials (lex, highest slot first), which the
-long division uses.  The division reads its dividend in place, as a
-plain table of packed monomials with a box that holds them, so a
-caller can divide a table it built from products without forming an
-`LPoly` of it: the working memory is the table's sorted key list plus
-the pending changes to the remainder, not a copy of the dividend.
+long division uses; it reads its dividend in place, as a plain table
+of packed monomials.  A sum of products whose factors carry a grading
+(a per-key integer grade, with the divisor's top grade a single term)
+is divided one grade at a time instead: `graded_quotient` builds one
+slab of the dividend at a time from the factors' term pairs, so the
+dividend is never formed, and checks each slab's residual.
 
 Every exponent lies in [-EXP_MAX, EXP_MAX].  EXP_MAX leaves two spare
 bits per digit, so the difference of two exponents still fits a digit
@@ -291,8 +292,11 @@ class LPoly:
                 return LPoly.zero()
             return _packed({p: c * other for p, c in self.terms.items()},
                            self._bound)
+        bound = _product_bound(self, other)
         data = {}
-        return _packed(data, add_product(data, self, other, 1))
+        _add_pairs(data, list(self.terms.items()), list(other.terms.items()),
+                   1)
+        return _packed(data, bound)
 
     __rmul__ = __mul__
 
@@ -362,89 +366,189 @@ class LPoly:
             bound = _product_bound(self, _packed({-m: 1}, other._bound))
             return _packed({p - m: x // c for p, x in self.terms.items()},
                            bound)
-        return divide_table(self.terms, _box(self.terms), other)
+        return divide_table(self.terms, other)
 
 
-def add_product(data: dict, a: LPoly, b: LPoly, sign: int) -> int:
-    """Add sign times every term pair of a * b into data, in place.
+def _add_pairs(data: dict, a: list, b: list, sign: int):
+    """Add sign * c1 * c2 at p1 + p2 into data, in place, for every pair
+    of terms (p1, c1) of a and (p2, c2) of b.
 
     An entry that reaches 0 is deleted at once, so data keeps only
-    nonzero coefficients if it had only those.  Returns the bound
-    `_product_bound` gives a * b, and raises OverflowError exactly when
-    a * b does, before data changes.  The operand with fewer terms is
-    the outer loop; the sums are the same either way.  Neither
-    operand's terms change.
+    nonzero coefficients if it had only those.  The shorter list is the
+    outer loop; the sums are the same either way.  This is the one
+    term-pair loop of the module, for products and for the graded
+    division.
     """
-    bound = _product_bound(a, b)
-    if len(a.terms) > len(b.terms):
+    if len(a) > len(b):
         a, b = b, a
     get = data.get
-    rhs = list(b.terms.items())
-    for p1, c1 in a.terms.items():
+    for p1, c1 in a:
         c1 *= sign
-        for p2, c2 in rhs:
+        for p2, c2 in b:
             p = p1 + p2
             c = get(p, 0) + c1 * c2
             if c:
                 data[p] = c
             else:
                 del data[p]
-    return bound
 
 
-def product_difference(a: LPoly, b: LPoly, c: LPoly, d: LPoly) -> tuple:
-    """The table of a * b - c * d, and a box that holds its monomials.
+def _by_grade(terms: dict, slot_grade: dict, grade: Callable) -> dict:
+    """The terms grouped by grade, {grade: [(packed, coeff), ...]}.
 
-    Every term pair of c * d is subtracted into one plain dict and then
-    every term pair of a * b added, each entry deleted when it reaches
-    0; neither product is formed.  The box (lo, hi) is the digit-wise
-    hull of the two products' boxes, each the digit-wise sum of its
-    factors' boxes, so no pass runs over the table for it.  It may be
-    wider than the table's own box, and it is None when both products
-    are 0.  Raises OverflowError exactly when a * b or c * d does.  No
-    operand's terms change.
+    A monomial's grade is the sum of exponent * grade(key) over its
+    keys; slot_grade caches grade(key) by slot.
     """
-    table = {}
-    corners = []
-    for x, y, sign in ((c, d, -1), (a, b, 1)):
-        add_product(table, x, y, sign)
+    out = {}
+    for p, c in terms.items():
+        h = 0
+        for slot, e in _digits(p):
+            r = slot_grade.get(slot)
+            if r is None:
+                r = slot_grade[slot] = grade(_KEYS[slot])
+            h += e * r
+        out.setdefault(h, []).append((p, c))
+    return out
+
+
+def _clamp(p: int) -> int:
+    """p with every digit clamped into [-EXP_MAX, EXP_MAX]."""
+    return sum(max(-EXP_MAX, min(EXP_MAX, e)) << (_W * slot)
+               for slot, e in _digits(p))
+
+
+def _divide_slab(rest: dict, m: int, c: int, lo: int, hi: int) -> list:
+    """rest / (c x^m) term by term, as a list of (packed, coeff) terms.
+
+    Raises ValueError unless every coefficient is divisible by c and
+    every quotient monomial lies digit by digit in [lo, hi], and
+    OverflowError for a quotient monomial outside the digit range.
+    """
+    guard = _ones() << (_W - 1)
+    out = []
+    for p, x in rest.items():
+        t = p - m
+        if ((t - lo) | (hi - t)) & guard:
+            if _max_abs(t) > EXP_MAX:
+                raise _overflow()
+            raise ValueError("inexact polynomial division (monomial)")
+        if x % c:
+            raise ValueError("inexact polynomial division (coefficient)")
+        out.append((t, x // c))
+    return out
+
+
+def graded_quotient(products: list, g: LPoly, grade: Callable) -> tuple:
+    """(sum of sign * x * y over products) / g, one grade at a time.
+
+    products is a list of (x, y, sign) triples and g is nonzero.  Every
+    key has an integer grade(key), and a monomial's grade is the sum of
+    exponent times grade over its keys, so the grade of a product term
+    is the sum of its factors' grades.  The top grade of g must hold a
+    single term c x^m; this is checked, and ValueError raised if not.
+
+    Write F for the dividend, F_h for its slab of grade h and Q_q for
+    the quotient's.  If F = Q g exactly, the top (bottom) slab of Q g is
+    the product of the top (bottom) slabs of Q and g, so every quotient
+    grade lies in [h_min - g_min, h_max - g_top], with [h_min, h_max]
+    the grades the products can reach.  The walk runs h from h_max down
+    to h_min.  At each h it builds F_h alone from the term pairs of
+    the products' slabs, subtracts Q_(h-j) g_j for every grade j of g
+    below g_top (those quotient grades lie above h - g_top and are
+    known), and divides the rest term by term by c x^m: that is
+    Q_(h - g_top).  A rest left where h - g_top lies below the quotient
+    range means the division is not exact.  Then the slab's residual
+    F_h - sum over all j of Q_(h-j) g_j, top term included, is
+    recomputed from a copy of F_h and must be empty; the residuals of
+    all slabs are empty iff F = Q g, since every term of F and of Q g
+    has a grade in [h_min, h_max].
+
+    Every quotient monomial must also lie digit by digit in the box
+    [lo - min g, hi - max g], with [lo, hi] the digit-wise hull of the
+    products' boxes (each the sum of its factors' boxes), clamped to
+    the digit range: every exact quotient does (Newton polytopes add),
+    so the remainder stays inside [lo, hi] and no digit can wrap.
+
+    The working memory is one slab, its copy and the quotient, besides
+    the factors' terms grouped by grade.  Returns (quotient, True) when
+    every residual is empty, and (None, False) at the first slab whose
+    residual is not.  Raises ValueError when the division is not exact,
+    and OverflowError when a product could overflow (before any work)
+    or a quotient monomial leaves the digit range.  No operand changes.
+    """
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    slot_grade = {}
+    parts, corners = [], []
+    for x, y, sign in products:
+        _product_bound(x, y)
         if x.terms and y.terms:
+            parts.append((_by_grade(x.terms, slot_grade, grade),
+                          _by_grade(y.terms, slot_grade, grade), sign))
             (xlo, xhi), (ylo, yhi) = _box(x.terms), _box(y.terms)
             corners += (xlo + ylo, xhi + yhi)
-    return table, (_box(corners) if corners else None)
+    if not parts:
+        return LPoly.zero(), True
+    gs = _by_grade(g.terms, slot_grade, grade)
+    g_top, g_min = max(gs), min(gs)
+    if len(gs[g_top]) != 1:
+        raise ValueError("the divisor's top grade holds more than one term")
+    ((m, c),) = gs[g_top]
+    (flo, fhi), (glo, ghi) = _box(corners), _box(g.terms)
+    lo, hi = _clamp(flo - glo), _clamp(fhi - ghi)
+    h_max = max(max(xs) + max(ys) for xs, ys, _ in parts)
+    h_min = min(min(xs) + min(ys) for xs, ys, _ in parts)
+    quotient = {}                       # grade -> [(packed, coeff), ...]
+    for h in range(h_max, h_min - 1, -1):
+        slab = {}
+        for xs, ys, sign in parts:
+            for hx, xt in xs.items():
+                yt = ys.get(h - hx)
+                if yt:
+                    _add_pairs(slab, xt, yt, sign)
+        residual = dict(slab)
+        for j, gt in gs.items():
+            qt = quotient.get(h - j)
+            if j != g_top and qt:
+                _add_pairs(slab, qt, gt, -1)
+        if slab:
+            if h - g_top < h_min - g_min:
+                raise ValueError("inexact polynomial division (monomial)")
+            quotient[h - g_top] = _divide_slab(slab, m, c, lo, hi)
+        for j, gt in gs.items():
+            qt = quotient.get(h - j)
+            if qt:
+                _add_pairs(residual, qt, gt, -1)
+        if residual:
+            return None, False
+    return _packed({p: x for qt in quotient.values() for p, x in qt},
+                   _max_abs(lo, hi)), True
 
 
-def divide_table(terms: dict, box: tuple, g: LPoly) -> LPoly:
+def divide_table(terms: dict, g: LPoly) -> LPoly:
     """terms / g by leading terms, for a table of terms and a nonzero g.
 
     terms maps packed monomials to coefficients, as `LPoly.terms` does,
-    and is read in place and never written; box = (lo, hi) holds every
-    monomial of terms digit by digit, with digits in [-EXP_MAX,
-    EXP_MAX], and may be wider than their own box.  The remainder's
-    leading monomial comes from two descending streams: the table's
-    monomials, sorted once, and a heap of remainder monomials absent
-    from the table.  New remainder monomials lie below the current one,
-    so each is visited once.  The working memory is the sorted key list
-    plus the pending changes: a dict holding the current coefficient of
-    only those monomials that earlier quotient terms changed, each
-    popped when the walk reaches it; a cancelled one keeps coefficient
-    0 until then.  Every quotient term must lie digit by digit in the
-    box [lo - min g, hi - max g]: every exact quotient does (Newton
-    polytopes add), the remainder then stays inside the given box so no
-    digit can overflow, and the quotient terms strictly decrease inside
-    a finite box, so an inexact division ends with ValueError.  When
-    the quotient box could overflow, the table's own box replaces the
-    given one, so a wide box never raises OverflowError by itself.
+    and is read in place and never written.  The remainder's leading
+    monomial comes from two descending streams: the table's monomials,
+    sorted once, and a heap of remainder monomials absent from the
+    table.  New remainder monomials lie below the current one, so each
+    is visited once.  The working memory is the sorted key list plus
+    the pending changes: a dict holding the current coefficient of only
+    those monomials that earlier quotient terms changed, each popped
+    when the walk reaches it; a cancelled one keeps coefficient 0 until
+    then.  Every quotient term must lie digit by digit in the box
+    [lo - min g, hi - max g], with [lo, hi] the table's own box: every
+    exact quotient does (Newton polytopes add), the remainder then
+    stays inside [lo, hi] so no digit can overflow, and the quotient
+    terms strictly decrease inside a finite box, so an inexact division
+    ends with ValueError.
     """
     if not terms:
         return LPoly.zero()
-    glo, ghi = _box(g.terms)
-    lo, hi = box[0] - glo, box[1] - ghi
+    (flo, fhi), (glo, ghi) = _box(terms), _box(g.terms)
+    lo, hi = flo - glo, fhi - ghi
     bound = _max_abs(lo, hi)
-    if bound > EXP_MAX:
-        flo, fhi = _box(terms)
-        lo, hi = flo - glo, fhi - ghi
-        bound = _max_abs(lo, hi)
     # each difference tested below has digits in (-2**(W-1), 2**(W-1)),
     # so it is nonnegative in every digit iff no guard bit is set
     guard = _ones() << (_W - 1)

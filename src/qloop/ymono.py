@@ -7,6 +7,8 @@ Monomials and polynomials are immutable; all arithmetic is exact.
 
 from __future__ import annotations
 
+import json
+
 from . import lpoly
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError
@@ -79,10 +81,6 @@ class YMonomial:
     def is_one(self) -> bool:
         return not self.key
 
-    def in_m_z(self, c: CartanData) -> bool:
-        """Member of the integer-parity monomial class: s = xi_i (mod 2)."""
-        return all((s - c.xi[i - 1]) % 2 == 0 for (i, s), _ in self.key)
-
     def in_m_ell(self, c: CartanData, ell: int) -> bool:
         """All variables of the form Y[i, xi_i + 2k] with 0 <= k <= ell."""
         for (i, s), _ in self.key:
@@ -118,9 +116,6 @@ class WeightVector:
 
     def __repr__(self) -> str:
         return f"WeightVector({dict(self.coeffs)})"
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, i: int) -> int:
         return dict(self.coeffs).get(i, 0)
@@ -334,10 +329,31 @@ def truncate_c1(c: CartanData, p: YPolynomial, top: YMonomial) -> YPolynomial:
 
 # --- canonical JSON form and rendering -----------------------------------
 
-def poly_to_json(p: YPolynomial) -> dict:
-    """Canonical form {"terms":[{"Y":[[i,s,e],...],"c":coeff},...]}."""
-    return {"terms": [{"Y": [[i, s, e] for (i, s, e) in m.triples()], "c": c}
-                      for m, c in p.terms()]}
+def _json_terms(p: YPolynomial):
+    return ({"Y": [[i, s, e] for (i, s), e in m.key], "c": c}
+            for m, c in p.terms())
+
+
+def poly_to_json(p: YPolynomial, out=None) -> dict | None:
+    """Canonical form {"terms":[{"Y":[[i,s,e],...],"c":coeff},...]}.
+
+    With out, the form's JSON text, as json.dumps writes it, goes to
+    out one term at a time instead, and nothing is returned.
+    """
+    if out is None:
+        return {"terms": list(_json_terms(p))}
+    out.write('{"terms": [')
+    _write_joined(out, ", ", map(json.dumps, _json_terms(p)))
+    out.write("]}")
+
+
+def _write_joined(out, sep: str, parts) -> bool:
+    """Write sep.join(parts) to out a part at a time; False if no parts."""
+    first = True
+    for part in parts:
+        out.write(part if first else sep + part)
+        first = False
+    return not first
 
 
 def poly_from_json(data: dict) -> YPolynomial:
@@ -355,14 +371,22 @@ def vpoly_to_json(p: lpoly.LPoly) -> dict:
                       for m, c in p.items()]}
 
 
-def _join_terms(terms, factor, mul: str, times: str) -> str:
-    """Sum of (factors, coeff) terms; factor renders one (key, exp)."""
-    parts = []
-    for factors, c in terms:
-        body = mul.join(factor(k, e) for k, e in factors)
-        parts.append(str(c) if not body else
-                     body if c == 1 else f"{c}{times}{body}")
-    return " + ".join(parts) or "0"
+def _join_terms(terms, factor, mul: str, times: str, out=None) -> str | None:
+    """Sum of (factors, coeff) terms; factor renders one (key, exp).
+
+    With out, the sum goes to out one term at a time instead, and
+    nothing is returned.
+    """
+    def parts():
+        for factors, c in terms:
+            body = mul.join(factor(k, e) for k, e in factors)
+            yield (str(c) if not body else
+                   body if c == 1 else f"{c}{times}{body}")
+
+    if out is None:
+        return " + ".join(parts()) or "0"
+    if not _write_joined(out, " + ", parts()):
+        out.write("0")
 
 
 def _y_text(k, e: int) -> str:
@@ -373,16 +397,19 @@ def render_mono_text(m: YMonomial) -> str:
     return "*".join(_y_text(k, e) for k, e in m.key) or "1"
 
 
-def render_text(p: YPolynomial) -> str:
-    return _join_terms(((m.key, c) for m, c in p.terms()), _y_text, "*", "*")
+def render_text(p: YPolynomial, out=None) -> str | None:
+    """Text form of p; written to out term by term when out is given."""
+    return _join_terms(((m.key, c) for m, c in p.terms()), _y_text, "*", "*",
+                       out)
 
 
-def render_latex(p: YPolynomial) -> str:
+def render_latex(p: YPolynomial, out=None) -> str | None:
+    """LaTeX form of p; written to out term by term when out is given."""
     return _join_terms(
         ((m.key, c) for m, c in p.terms()),
         lambda k, e: (f"Y_{{{k[0]},q^{{{k[1]}}}}}"
                       + (f"^{{{e}}}" if e != 1 else "")),
-        "", "\\,")
+        "", "\\,", out)
 
 
 def render_vpoly_text(p: lpoly.LPoly) -> str:

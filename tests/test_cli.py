@@ -83,6 +83,15 @@ def test_qchar_standard(capsys):
     assert code == 0 and len(json.loads(out)["terms"]) == 4
 
 
+def test_qchar_standard_adds_repeated_entries(capsys):
+    want = run(capsys, "qchar", "standard", "--type", "A1",
+               "--w", "[[1,0,2]]")
+    assert want[0] == 0 and want[1].count(" + ") == 2
+    for w in ("[[1,0,1],[1,0,1]]", "[[1,0,2],[1,0,0]]"):
+        assert run(capsys, "qchar", "standard", "--type", "A1",
+                   "--w", w) == want, w
+
+
 @pytest.mark.parametrize("argv", [
     ("qchar", "standard", "--type", "A1", "--w", "[[1, 0.5, 1]]"),
     ("qchar", "standard", "--type", "A1", "--w", "[[1, 0, 1.9]]"),
@@ -277,6 +286,51 @@ def test_console_script_runs_in_a_subprocess():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "FAIL" not in out.stdout
+
+
+def test_streamed_output_equals_the_whole_rendering(capsys):
+    from qloop.cartan import CartanData
+    from qloop.cli import _emit_poly
+    from qloop.engine import KRLabel, kr_qchar
+    from qloop.ymono import (YPolynomial, poly_to_json, render_latex,
+                             render_text)
+    polys = (YPolynomial.zero(), YPolynomial.one(),
+             kr_qchar(CartanData.from_label("A2"), KRLabel(1, 2, 0)))
+    for p in polys:
+        for fmt, whole in (("json", json.dumps(poly_to_json(p))),
+                           ("text", render_text(p)),
+                           ("latex", render_latex(p))):
+            _emit_poly(p, fmt)
+            assert capsys.readouterr().out == whole + "\n", (p, fmt)
+
+
+# Peak of the memory tracemalloc traces over one command, modules
+# imported beforehand, stdout sent to the null device.
+_CLI_PEAK_SCRIPT = """
+import os, sys, tracemalloc
+from qloop import cli, engine, preproj
+out, sys.stdout = sys.stdout, open(os.devnull, "w")
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+peak = tracemalloc.get_traced_memory()[1]
+sys.stdout = out
+print(code, peak)
+"""
+
+
+def test_qchar_kr_json_streams_its_terms():
+    # 1.31 MB measured with Python 3.11 (4.55 MB when the list of term
+    # dicts and the whole JSON string were built before printing),
+    # bound 15% above
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ("qchar", "kr", "--type", "A5", "--node", "3", "--k", "3",
+            "--s", "0", "--format", "json")
+    out = subprocess.run([sys.executable, "-S", "-c", _CLI_PEAK_SCRIPT,
+                          *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code, peak = out.stdout.split()
+    assert code == "0" and int(peak) / 2**20 <= 1.31 * 1.15
 
 
 def test_json_output_is_deterministic(capsys):

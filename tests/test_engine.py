@@ -136,20 +136,28 @@ def test_tsystem_rejects_zero_length():
 
 
 def test_tsystem_check_fails_on_a_wrong_quotient(monkeypatch, capsys):
-    real = lpoly.divide_table
+    real = lpoly._divide_slab
 
-    def off_by_one(terms, box, g):
-        q = real(terms, box, g)
-        return q + LPoly.monomial(q.items()[0][0])
+    def off_by_one(rest, m, c, lo, hi):
+        (t, x), *others = real(rest, m, c, lo, hi)
+        return [(t, x + 1), *others]
 
-    # the lower steps run first, so only T_3 of node 3 comes out wrong
+    # the lower steps run first, so only the slabs of T_3 of node 3
+    # come out wrong, and the first one's residual is not empty
     monkeypatch.setattr(engine, "_KR_CACHE", {})
     assert verify_tsystem(D4, 3, 2, 0)
-    monkeypatch.setattr(lpoly, "divide_table", off_by_one)
+    del engine._KR_CACHE[(D4, 3, 3)]
+    monkeypatch.setattr(lpoly, "_divide_slab", off_by_one)
     assert not verify_tsystem(D4, 3, 2, 0)
+    assert (D4, 3, 3) not in engine._KR_CACHE
     code = main(["verify", "tsystem", "--type", "D4", "--node", "3",
                  "--k", "2", "--s", "0"])
     assert code == 1 and capsys.readouterr().out == "FAIL\n"
+    # the same wrong slab fails `qchar kr`, which now checks every step
+    code = main(["qchar", "kr", "--type", "D4", "--node", "3", "--k", "3",
+                 "--s", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and "residual is not zero" in err
 
 
 @pytest.mark.parametrize("node, k", [(3, 2), (1, 2), (3, 1)],
@@ -250,18 +258,19 @@ def _traced_peak_mb(label, i, k):
 
 
 def test_tsystem_check_memory_d4():
-    # one working table of lhs - prod, with neither formed: 6.20 MB
-    # measured with Python 3.11 (10.87 MB with lhs, prod and a working
-    # copy of lhs; 15.06 MB when the check and the division each copied
-    # the whole dividend), bound 15% above
-    assert _traced_peak_mb("D4", 3, 2) <= 6.20 * 1.15
+    # one grade of lhs - prod at a time, with neither formed: 0.87 MB
+    # measured with Python 3.11 (6.20 MB with one working table of
+    # lhs - prod; 10.87 MB with lhs, prod and a working copy of lhs),
+    # bound 15% above
+    assert _traced_peak_mb("D4", 3, 2) <= 0.87 * 1.15
 
 
 @pytest.mark.slow
 def test_tsystem_check_memory_d4_length_three():
-    # 207.0 MB measured with Python 3.11 (355.0 MB with lhs, prod and a
-    # working copy of lhs; 497.5 MB with whole copies), bound 15% above
-    assert _traced_peak_mb("D4", 3, 3) <= 207.0 * 1.15
+    # 16.1 MB measured with Python 3.11 (207.0 MB with one working table
+    # of lhs - prod; 355.0 MB with lhs, prod and a working copy of lhs),
+    # bound 15% above
+    assert _traced_peak_mb("D4", 3, 3) <= 16.1 * 1.15
 
 
 @pytest.mark.parametrize("label, i, k, dim", [

@@ -4,8 +4,8 @@ from heapq import heappush
 import pytest
 
 from qloop import lpoly
-from qloop.lpoly import (EXP_MAX, LPoly, add_product, divide_table, mono,
-                         mono_mul, mono_pow, product_difference)
+from qloop.lpoly import (EXP_MAX, LPoly, divide_table, graded_quotient, mono,
+                         mono_mul, mono_pow)
 
 # The three key shapes the package uses: plain names, (node, shift)
 # Y-variables and tagged cluster variables.  Keys of one monomial must be
@@ -16,6 +16,10 @@ KEY_FAMILIES = [
     [(1, 0), (2, 1), (1, 2), (3, 5), (2, -3)],
     [("z", 1, 2), ("z", 2, 3), ("y", 1, 2), ("z", 4, 0)],
 ]
+# A grade per key, for the graded division: a monomial's grade is the
+# sum of exponent times grade, and distinct monomials may share one.
+GRADES = {key: (1, 2, 3, 5, 8)[n] for keys in KEY_FAMILIES
+          for n, key in enumerate(keys)}
 
 
 # --- naive tuple-monomial oracle --------------------------------------------
@@ -236,43 +240,61 @@ def test_divisions_leave_both_operands_unchanged():
                       "inexact polynomial division (coefficient)"}
 
 
-def _holds(box, table):
-    """Whether box holds every monomial of table, digit by digit."""
-    return lpoly._box([*box, *table]) == box
+def _graded(products, g):
+    """graded_quotient under GRADES, or the ValueError it raised."""
+    try:
+        return graded_quotient(products, g, GRADES.__getitem__)
+    except ValueError as exc:
+        return exc
 
 
-def test_product_difference_residual_matches_the_expanded_identity():
+def _single_top(g):
+    """Whether the top grade of g holds one term."""
+    grades = [sum(e * GRADES[k] for k, e in m) for m in g.monomials()]
+    return grades.count(max(grades)) == 1
+
+
+def test_graded_quotient_residual_matches_the_expanded_identity():
     rng = random.Random(23)
-    held = 0
+    held = raised = 0
     for trial in range(300):
         keys = KEY_FAMILIES[trial % len(KEY_FAMILIES)]
         a, b, c, d, e, h = (LPoly(rand_terms(rng, keys, rng.randint(0, 6)))
                             for _ in range(6))
+        h = h or LPoly.one()
         if trial % 3 == 0:
             # a * b - c * d = e * h, c * d meeting keys a * b lacks
             a, b = e * h + c * d, LPoly.one()
         elif trial % 3 == 1:
-            # c * d cancels part of a * b, so the table is shorter
+            # c * d cancels part of a * b, and b - d is the divisor
             c, d = a, LPoly(dict(b.items()[::2]))
-            e, h = a, b - d
+            h = (b - d) or LPoly.one()
         else:
             # one coefficient off, or a term gained
             m = mono((k, rng.randint(-3, 3)) for k in rng.sample(keys, 2))
             a = e * h + c * d + LPoly.monomial(m, rng.choice([-1, 1]))
             b = LPoly.one()
-        before = [dict(p.terms) for p in (a, b, c, d, e, h)]
-        table, box = product_difference(a, b, c, d)
-        assert table == (a * b - c * d).terms
-        assert box is None if not (a * b or c * d) else _holds(box, table)
-        add_product(table, e, h, -1)
-        assert table == (a * b - c * d - e * h).terms
-        assert (not table) == (a * b - c * d == e * h)
-        held += a * b - c * d == e * h
-        assert [p.terms for p in (a, b, c, d, e, h)] == before
-    assert 100 <= held < 300
+        before = [dict(p.terms) for p in (a, b, c, d, h)]
+        got = _graded([(a, b, 1), (c, d, -1)], h)
+        dividend = a * b - c * d
+        try:
+            want = dividend.exact_div(h)
+        except ValueError:
+            want = None
+        if not _single_top(h):
+            assert str(got) == ("the divisor's top grade holds more than "
+                                "one term")
+        elif want is None:
+            assert str(got).startswith("inexact polynomial division")
+            raised += 1
+        else:
+            assert got == (want, True) and want * h == dividend
+            held += 1
+        assert [p.terms for p in (a, b, c, d, h)] == before
+    assert held >= 100 and raised >= 30
 
 
-def test_product_difference_overflows_exactly_when_a_product_does():
+def test_graded_quotient_overflows_exactly_when_a_product_does():
     rng = random.Random(29)
     raised = 0
     for _ in range(200):
@@ -285,24 +307,49 @@ def test_product_difference_overflows_exactly_when_a_product_does():
             return LPoly({mono((k, exponent()) for k in ("x", "y")):
                           rng.randint(1, 3) for _ in range(rng.randint(1, 3))})
         a, b, x = near_bound(), near_bound(), LPoly.var("x")
+        one = LPoly.one()
         try:
             a * b
         except OverflowError:
             raised += 1
-            for args in ((a, b, x, x), (x, x, a, b)):
+            for products in ([(a, b, 1), (x, x, -1)],
+                             [(x, x, 1), (a, b, -1)]):
                 with pytest.raises(OverflowError):
-                    product_difference(*args)
-            with pytest.raises(OverflowError):
-                add_product({}, a, b, -1)
+                    graded_quotient(products, one, GRADES.__getitem__)
         else:
-            table, box = product_difference(x, x, a, b)
-            assert table == (x * x - a * b).terms and _holds(box, table)
+            assert _graded([(x, x, 1), (a, b, -1)], one) == (
+                x * x - a * b, True)
     assert 0 < raised < 200
 
 
+def test_divisor_with_two_top_grade_terms_raises():
+    x, y, z, one = LPoly.var("x"), LPoly.var("y"), LPoly.var("z"), LPoly.one()
+    g = x + y
+    f = g * (x + z)
+    with pytest.raises(ValueError, match="top grade holds more than one"):
+        graded_quotient([(f, one, 1)], g, lambda key: 1)
+    # the same division with y graded below x is exact
+    assert graded_quotient([(f, one, 1)], g, {"x": 2, "y": 1, "z": 1}.get) \
+        == (x + z, True)
+
+
+def test_graded_quotient_names_an_inexact_monomial_or_coefficient():
+    # grades x = 2, y = 1.  x^2 + y^2 over x - y leaves 2 y^2 below the
+    # quotient's lowest grade; 2 x^2 + y^2 over 2 x - y meets x y with
+    # coefficient 1; 1 + x over 1 + y meets x y^-1, whose y exponent
+    # lies outside the box [0 - 0, 0 - 1] of any exact quotient
+    x, y, one = LPoly.var("x"), LPoly.var("y"), LPoly.one()
+    for f, g, msg in ((x * x + y * y, x - y, "monomial"),
+                      (2 * x * x + y * y, 2 * x - y, "coefficient"),
+                      (1 + x, 1 + y, "monomial")):
+        with pytest.raises(ValueError,
+                           match=rf"inexact polynomial division \({msg}\)"):
+            graded_quotient([(f, one, 1)], g, {"x": 2, "y": 1}.get)
+
+
 def test_table_division_agrees_with_exact_div():
-    # the table of f + c * d - c * d over g, whose box from the factors
-    # is wider than f's own, against f / g
+    # the graded division of the slabs of f + c * d - c * d, whose box
+    # from the factors is wider than f's own, against f / g
     rng = random.Random(31)
     exact = 0
     for trial in range(300):
@@ -317,40 +364,41 @@ def test_table_division_agrees_with_exact_div():
             f = LPoly(rand_terms(rng, keys, rng.randint(1, 8)))
         c, d = (LPoly(rand_terms(rng, keys, rng.randint(0, 4)))
                 for _ in range(2))
-        table, box = product_difference(f + c * d, LPoly.one(), c, d)
-        before = dict(table)
+        got = _graded([(f + c * d, LPoly.one(), 1), (c, d, -1)], g)
         try:
             want = f.exact_div(g)
         except ValueError:
-            with pytest.raises(ValueError, match="inexact"):
-                divide_table(table, box, g)
+            want = None
+        if not _single_top(g):
+            assert "top grade" in str(got)
+        elif want is None:
+            assert str(got).startswith("inexact polynomial division")
         else:
-            assert divide_table(table, box, g) == want
+            assert got == (want, True)
             exact += 1
-        assert table == before
     assert 100 <= exact < 300
 
 
 def test_wide_table_box_never_overflows_by_itself():
-    # x^E cancels from the table, so its box from the factors reaches
-    # x^E while the table's own does not: (x^-1 + x^-2) / (x^-1 + x^-2)
-    # fits, and 1 / (x^-1 + x^-2) is inexact, not an overflow
+    # x^E cancels from the dividend, so its box from the factors reaches
+    # x^E while its own does not: (x^-1 + x^-2) / (x^-1 + x^-2) fits, and
+    # 1 / (x^-1 + x^-2) is inexact, not an overflow
     one = LPoly.one()
     g = LPoly.var("x", -1) + LPoly.var("x", -2)
     top = LPoly.var("x", EXP_MAX)
     for f in (g, one):
-        table, box = product_difference(f + top, one, top, one)
-        assert table == f.terms and box != lpoly._box(f.terms)
+        products = [(f + top, one, 1), (top, one, -1)]
         if f == g:
-            assert divide_table(table, box, g) == one
+            assert _graded(products, g) == (one, True)
         else:
             with pytest.raises(ValueError, match=r"\(monomial\)"):
-                divide_table(table, box, g)
+                graded_quotient(products, g, GRADES.__getitem__)
     # a quotient that does leave the range still overflows
     f = top + LPoly.var("x", EXP_MAX - 1)
-    table, box = product_difference(f, one, LPoly.zero(), one)
     with pytest.raises(OverflowError):
-        divide_table(table, box, g)
+        graded_quotient([(f, one, 1)], g, GRADES.__getitem__)
+    with pytest.raises(OverflowError):
+        divide_table(f.terms, g)
 
 
 def test_laurent_division_with_negative_exponents():
