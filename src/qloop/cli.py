@@ -272,12 +272,12 @@ def _emit_graph(c, graph, fmt: str) -> int:
 
 
 def _join_list_values(argv) -> list:
-    """Join `--beta X` and `--nu X` into `--beta=X`, so that a list that
-    starts with a minus sign reaches the value checks instead of being
-    read as a flag."""
+    """Join `--beta X` into `--beta=X`, and so for --nu, --u, --v and
+    --q, so that a value that starts with a minus sign reaches the value
+    checks instead of being read as a flag."""
     out = []
     for token in argv:
-        if out and out[-1] in ("--beta", "--nu"):
+        if out and out[-1] in ("--beta", "--nu", "--u", "--v", "--q"):
             out[-1] += "=" + token
         else:
             out.append(token)

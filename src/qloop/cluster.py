@@ -315,22 +315,6 @@ def _gvector(seed0: Seed, expansion: LPoly) -> tuple:
     return tuple(degree if degree is not None else [0] * len(mutable))
 
 
-def variable_by_denominator(graph: ExchangeGraph, beta) -> ClusterVariable:
-    """The unique variable whose denominator vector matches beta.
-
-    beta is indexed like graph.seed.mutable; negative simples select the
-    initial variables.
-    """
-    target = tuple(beta)
-    if len(target) != len(graph.seed.mutable):
-        raise InvalidInputError("denominator vector has the wrong length")
-    hits = [cv for cv in graph.variables.values() if cv.dvector == target]
-    if len(hits) != 1:
-        raise ConsistencyError(
-            f"{len(hits)} variables have denominator vector {target}")
-    return hits[0]
-
-
 # (variable count, cluster count) fingerprints of the finite cluster types
 def _finite_type_table() -> dict[tuple[int, int], str]:
     table = {}

@@ -1,10 +1,10 @@
 """Cross-module verification engine.
 
 Builds Kirillov-Reshetikhin q-characters through the T-system recursion
-with the Grassmannian fundamentals as seeds, maps almost positive roots
-to dominant monomials, equates cluster F-polynomials with quiver
-Grassmannian generating series at level 1, and factors level-1 simple
-modules into prime factors by exact cover over cluster data.
+with the Grassmannian fundamentals as seeds.  At level 1 one table,
+`_generators`, pairs each almost positive root with a prime simple, a
+cluster variable and a truncated q-character; `verify_l1`, the
+truncations and the prime factorization by exact cover all read it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from . import lpoly, preproj, quiverrep
 from .cartan import CartanData
 from .errors import ConsistencyError, InvalidInputError
 from .lpoly import LPoly
-from .ymono import (YMonomial, YPolynomial, a_monomial_exps, highest_monomial,
-                    is_dominant)
+from .ymono import YMonomial, YPolynomial, highest_monomial, is_dominant
 
 
 class KRLabel(namedtuple("KRLabel", "i k s")):
@@ -156,53 +155,11 @@ def y_alpha(c: CartanData, alpha) -> YMonomial:
                             "negative simple root")
 
 
-def _initial_monomial(c: CartanData, i: int) -> YMonomial:
-    """Highest monomial of the initial variable at (i, xi_i + 2)."""
-    return YMonomial.y(i, c.xi[i - 1] + 2)
-
-
-def v_variable(c: CartanData, i: int) -> YMonomial:
-    """The level-1 correction v_i = inverse of A[i, xi_i + 1]."""
-    return a_monomial_exps(c, i, c.xi[i - 1] + 1) ** -1
-
-
 def gr_series(c: CartanData, rep: quiverrep.QuiverRep) -> LPoly:
     """Generating series of Euler characteristics over subrep dimensions."""
     return LPoly([(tuple(sorted(nu)), chi)
                   for nu, chi in quiverrep.euler_series(rep).items()])
 
-
-def _series_to_qchar(c: CartanData, top: YMonomial, series: LPoly) -> YPolynomial:
-    terms = []
-    for m, chi in series.items():
-        mono = top
-        for i, e in m:
-            mono = mono * (v_variable(c, i) ** e)
-        terms.append((mono, chi))
-    return YPolynomial(terms)
-
-
-def simple_trunc_qchar_c1(c: CartanData, beta) -> YPolynomial:
-    """Level-1 truncated q-character of the simple attached to a root.
-
-    The highest monomial is the reflected-root monomial; the correction
-    polynomial is the Grassmannian series of the indecomposable at beta.
-    """
-    beta = tuple(beta)
-    if not c.is_positive_root(beta):
-        raise InvalidInputError(f"{beta} is not a positive root")
-    alpha = quiverrep.reflect_i1(c, beta)
-    if min(alpha) < 0:
-        i = next(i for i in c.nodes() if alpha[i - 1])
-        if c.xi[i - 1] != 1:
-            raise ConsistencyError(
-                "bipartite reflection produced a class-0 negative simple")
-    top = y_alpha(c, alpha)
-    series = gr_series(c, quiverrep.indecomposable_rep(c, beta))
-    return _series_to_qchar(c, top, series)
-
-
-# --- the level-1 theorem at desk scale -------------------------------------
 
 _GRAPH_CACHE: dict = {}
 
@@ -217,12 +174,32 @@ def level1_graph(c: CartanData, cap: int = 100000):
     return _GRAPH_CACHE[key]
 
 
-def _node_dvector(c: CartanData, graph, coords) -> tuple:
-    order = {v: idx for idx, v in enumerate(graph.seed.mutable)}
-    target = [0] * len(graph.seed.mutable)
-    for i in c.nodes():
-        target[order[(i, c.xi[i - 1] + 2)]] = coords[i - 1]
-    return tuple(target)
+def _variable(c: CartanData, graph, d: tuple):
+    """The level-1 variable with denominator vector d, found by g-vector.
+
+    The level-1 seed is bipartite, so acyclic, and its mutable vertices
+    (i, xi_i + 2) come in node order.  For d >= 0 the variable is the
+    Caldero-Chapoton character of the indecomposable M of dimension d
+    (Caldero and Chapoton, Comment. Math. Helv. 81, 2006), the sum over
+    e of chi(Gr_e(M)) prod_j x_j^(-<e, a_j> - <a_j, d - e>), with <,>
+    the Euler form of the seed's mutable quiver.  Its e = 0 term is the
+    term x^g of F's constant 1 in x^g F(y-hat) (Fomin and Zelevinsky,
+    Cluster algebras IV, Cor 6.3), so g_j = -<a_j, d> = -d_j + sum_i
+    [b_ij]_+ d_i.  For d = -a_j the variable is the initial one, g = e_j.
+    Only the variable found is replayed, and it must replay to
+    denominator d, or ConsistencyError.
+    """
+    b = graph.seed.b
+    if min(d) < 0:
+        g = tuple(-x for x in d)
+    else:
+        g = tuple(sum(max(b[i][j], 0) * d[i] for i in range(c.n)) - d[j]
+                  for j in range(c.n))
+    cv = next((cv for cv in graph.variables.values() if cv.gvector == g),
+              None)
+    if cv is None or cv.dvector != d:
+        raise ConsistencyError(f"no level-1 variable has denominator {d}")
+    return cv
 
 
 def cluster_fpoly(c: CartanData, beta, cap: int = 100000) -> LPoly:
@@ -237,46 +214,10 @@ def cluster_fpoly(c: CartanData, beta, cap: int = 100000) -> LPoly:
                                 f"minus a simple root of {c.type_label}")
     from . import cluster
     graph = level1_graph(c, cap)
-    cv = cluster.variable_by_denominator(graph, _node_dvector(c, graph, beta))
-    fpoly, _ = cluster.f_polynomial_and_gvector(graph.seed, cv)
+    fpoly, _ = cluster.f_polynomial_and_gvector(graph.seed,
+                                                _variable(c, graph, beta))
     return fpoly.map_keys(lambda v: v[0])
 
-
-def verify_l1(c: CartanData, cap: int = 100000) -> list[dict]:
-    """Per-root comparison of the mutation and Grassmannian pipelines.
-
-    Every positive root contributes one report entry; a final entry
-    checks that the monomials assigned to all almost positive roots are
-    pairwise distinct and dominant.
-    """
-    graph = level1_graph(c, cap)
-    report = []
-    monomials = []
-    for beta in c.positive_roots():
-        fpoly = cluster_fpoly(c, beta, cap)
-        series = gr_series(c, quiverrep.indecomposable_rep(c, beta))
-        alpha = quiverrep.reflect_i1(c, beta)
-        monomials.append(y_alpha(c, alpha))
-        report.append({
-            "case": "root " + ",".join(map(str, beta)),
-            "pass": fpoly == series,
-            "lhs": fpoly,
-            "rhs": series,
-        })
-    for i in c.nodes():
-        monomials.append(_initial_monomial(c, i))
-    distinct = (len(set(monomials)) == len(monomials)
-                and all(is_dominant(m) for m in monomials))
-    report.append({
-        "case": "dominant monomials pairwise distinct",
-        "pass": distinct,
-        "lhs": LPoly.const(len(set(monomials))),
-        "rhs": LPoly.const(len(monomials)),
-    })
-    return report
-
-
-# --- tensor factorization in the level-1 category ---------------------------
 
 class PrimeFactor(namedtuple("PrimeFactor", "kind node gamma",
                              defaults=(None, None))):
@@ -291,57 +232,133 @@ class PrimeFactor(namedtuple("PrimeFactor", "kind node gamma",
         return (self.kind, self.node or 0, self.gamma or ())
 
 
+# one prime of the level-1 category; see _generators
+Level1Entry = namedtuple("Level1Entry", "factor monomial variable beta")
+
+
 def frozen_monomial(c: CartanData, i: int) -> YMonomial:
     xi = c.xi[i - 1]
     return YMonomial([((i, xi), 1), ((i, xi + 2), 1)])
 
 
-def _generators(c: CartanData, graph):
-    """All prime generators with their monomials and cluster idents."""
+def _generators(c: CartanData, graph) -> list:
+    """The level-1 dictionary, one Level1Entry per prime.
+
+    Hernandez and Leclerc (2010, completed by Nakajima) pair each almost
+    positive root gamma with a prime simple module, a cluster variable
+    and a truncated q-character.  An entry holds the PrimeFactor, the
+    monomial (frozen_monomial, or y_alpha(gamma)), the ClusterVariable
+    (None when frozen) and beta, the positive root whose
+    indecomposable's Grassmannian series corrects the monomial.  The n
+    frozen entries come first.  Then the initial variable at each node
+    i, with denominator -alpha_i and gamma = alpha_i at class 1 or
+    -alpha_i at class 0, so its monomial is Y[i, xi_i + 2]; its
+    F-polynomial is 1, so beta is None and its truncation is the
+    monomial alone.  Then each positive root beta, with gamma =
+    reflect_i1(beta) and the variable of denominator beta.  reflect_i1
+    is an involution, negative only at beta = alpha_i with xi_i = 1, so
+    every almost positive root is one gamma.  beta alone decides the
+    correction: the truncation is y_alpha(gamma) F(v), F the variable's
+    F-polynomial at v_i = A[i, xi_i + 1]^-1, and F is the Grassmannian
+    series of the indecomposable of dimension beta, the variable's
+    denominator (Caldero and Chapoton).
+    """
+    roots = []
+    for i in c.nodes():
+        d = tuple(-x for x in c.simple_root(i))
+        roots.append((c.simple_root(i) if c.xi[i - 1] else d, d, None))
+    roots += [(quiverrep.reflect_i1(c, b), b, b) for b in c.positive_roots()]
+    return ([Level1Entry(PrimeFactor("frozen", node=i),
+                         frozen_monomial(c, i), None, None)
+             for i in c.nodes()]
+            + [Level1Entry(PrimeFactor("simple", gamma=g), y_alpha(c, g),
+                           _variable(c, graph, d), beta)
+               for g, d, beta in roots])
+
+
+def _trunc(c: CartanData, entry) -> YPolynomial:
+    """The entry's truncated q-character, by `preproj.a_inverse_qchar`
+    at the vertices (i, xi_i), so that A[i, xi_i + 1]^-1 stands for v_i."""
+    if entry.beta is None:
+        return YPolynomial.from_monomial(entry.monomial)
+    series = gr_series(c, quiverrep.indecomposable_rep(c, entry.beta))
+    return preproj.a_inverse_qchar(
+        c, entry.monomial, series.map_keys(lambda i: (i, c.xi[i - 1])).items())
+
+
+def simple_trunc_qchar_c1(c: CartanData, beta) -> YPolynomial:
+    """Level-1 truncated q-character of the simple attached to a root.
+
+    It is the truncation of beta's entry in the level-1 dictionary: the
+    reflected-root monomial corrected by the Grassmannian series of the
+    indecomposable at beta.
+    """
+    beta = tuple(beta)
+    if not c.is_positive_root(beta):
+        raise InvalidInputError(f"{beta} is not a positive root")
+    return _trunc(c, next(e for e in _generators(c, level1_graph(c))
+                          if e.beta == beta))
+
+
+def verify_l1(c: CartanData, cap: int = 100000) -> list[dict]:
+    """Per-root comparison of the mutation and Grassmannian pipelines.
+
+    Each positive root's dictionary entry contributes one report entry,
+    its variable's F-polynomial against its indecomposable's
+    Grassmannian series; a final entry checks that the monomials of all
+    almost positive roots are pairwise distinct and dominant.
+    """
     from . import cluster
-    gens = []
-    for i in c.nodes():
-        gens.append((PrimeFactor("frozen", node=i), frozen_monomial(c, i), None))
-    # initial variables carry the almost-negative denominators
-    for i in c.nodes():
-        beta = tuple(-1 if j == i else 0 for j in c.nodes())
-        cv = cluster.variable_by_denominator(
-            graph, _node_dvector(c, graph, beta))
-        gamma = _gamma_of_initial(c, i)
-        gens.append((PrimeFactor("simple", gamma=gamma),
-                     _initial_monomial(c, i), cv.ident))
-    for beta in c.positive_roots():
-        cv = cluster.variable_by_denominator(
-            graph, _node_dvector(c, graph, beta))
-        gamma = quiverrep.reflect_i1(c, beta)
-        gens.append((PrimeFactor("simple", gamma=gamma),
-                     y_alpha(c, gamma), cv.ident))
-    return gens
+    graph = level1_graph(c, cap)
+    simples = _generators(c, graph)[c.n:]
+    report = []
+    for e in simples:
+        if e.beta is None:
+            continue
+        fpoly = cluster.f_polynomial_and_gvector(
+            graph.seed, e.variable)[0].map_keys(lambda v: v[0])
+        series = gr_series(c, quiverrep.indecomposable_rep(c, e.beta))
+        report.append({
+            "case": "root " + ",".join(map(str, e.beta)),
+            "pass": fpoly == series,
+            "lhs": fpoly,
+            "rhs": series,
+        })
+    monomials = [e.monomial for e in simples]
+    distinct = (len(set(monomials)) == len(monomials)
+                and all(is_dominant(m) for m in monomials))
+    report.append({
+        "case": "dominant monomials pairwise distinct",
+        "pass": distinct,
+        "lhs": LPoly.const(len(set(monomials))),
+        "rhs": LPoly.const(len(monomials)),
+    })
+    return report
 
 
-def _gamma_of_initial(c: CartanData, i: int) -> tuple:
-    sign = 1 if c.xi[i - 1] == 1 else -1
-    return tuple(sign if j == i else 0 for j in c.nodes())
-
+# --- tensor factorization in the level-1 category ---------------------------
 
 def factor_simple_c1(c: CartanData, m: YMonomial,
                      cap: int = 100000) -> list[PrimeFactor]:
     """Prime tensor factorization of a level-1 simple by exact cover.
 
     The factor multiset is the unique way of writing m as a product of
-    frozen monomials and almost-positive-root monomials whose non-frozen
-    members are pairwise compatible in the exchange graph; the positive
-    part is cross-checked against the generic decomposition.
+    the level-1 dictionary's monomials whose variables are pairwise
+    compatible in the exchange graph; the positive part is cross-checked
+    against the generic decomposition.
     """
+    return [e.factor for e in _factor_entries(c, m, cap)]
+
+
+def _factor_entries(c: CartanData, m: YMonomial, cap: int) -> list:
     if not is_dominant(m) or not m.in_m_ell(c, 1):
         raise InvalidInputError("monomial is not a level-1 dominant monomial")
     graph = level1_graph(c, cap)
-    gens = _generators(c, graph)
-    solutions = _exact_cover(c, graph, gens, m)
+    solutions = _exact_cover(graph, _generators(c, graph), m)
     if len(solutions) != 1:
         raise ConsistencyError(
             f"{len(solutions)} factorizations found for {m!r}")
-    factors = solutions[0]
+    factors = [e.factor for e in solutions[0]]
     positive = [f.gamma for f in factors
                 if f.kind == "simple" and min(f.gamma) >= 0]
     total = tuple(sum(g[j] for g in positive) for j in range(c.n))
@@ -349,71 +366,34 @@ def factor_simple_c1(c: CartanData, m: YMonomial,
     if sorted(positive) != sorted(expected):
         raise ConsistencyError("factor multiset disagrees with the generic "
                                "decomposition")
-    return sorted(factors, key=lambda f: f.sort_key())
+    return sorted(solutions[0], key=lambda e: e.factor.sort_key())
 
 
-def _exact_cover(c, graph, gens, m) -> list:
+def _exact_cover(graph, gens, m) -> list:
+    """Multisets of gens whose monomials multiply to m, with pairwise
+    compatible variables; the search stops at the second one."""
     solutions = []
 
-    def search(idx, remaining, chosen, idents):
+    def search(idx, remaining, chosen):
         if len(solutions) > 1:
             return
         if remaining.is_one():
-            solutions.append(list(chosen))
+            solutions.append(chosen)
             return
         if idx == len(gens):
             return
-        factor, mono, ident = gens[idx]
-        # try multiplicity 0, 1, 2, ... of this generator
-        multiplicity = 0
-        reduced = remaining
-        stack_markers = []
-        while True:
-            nxt = reduced / mono
-            if any(e < 0 for _, e in nxt.key):
-                break
-            if ident is not None and any(
-                    not graph.compatible(ident, other) for other in idents
-                    if other != ident):
-                break
-            reduced = nxt
-            multiplicity += 1
-            chosen.append(factor)
-            if ident is not None:
-                idents.append(ident)
-            stack_markers.append(ident)
-        # explore from largest multiplicity down to zero
-        while True:
-            search(idx + 1, reduced, chosen, idents)
-            if multiplicity == 0:
-                break
-            multiplicity -= 1
-            chosen.pop()
-            marker = stack_markers.pop()
-            if marker is not None:
-                idents.pop()
-            reduced = reduced * mono
-        return
+        e = gens[idx]
+        rest = remaining / e.monomial
+        # include gens[idx] once more, then skip past it
+        if all(x >= 0 for _, x in rest.key) and (
+                e.variable is None or all(
+                    graph.compatible(e.variable.ident, o.variable.ident)
+                    for o in chosen if o.variable not in (None, e.variable))):
+            search(idx, rest, chosen + [e])
+        search(idx + 1, remaining, chosen)
 
-    search(0, m, [], [])
+    search(0, m, [])
     return solutions
-
-
-def _factor_trunc_qchar(c: CartanData, f: PrimeFactor) -> YPolynomial:
-    if f.kind == "frozen":
-        return YPolynomial.from_monomial(frozen_monomial(c, f.node))
-    gamma = f.gamma
-    if min(gamma) < 0:
-        i = next(j for j in c.nodes() if gamma[j - 1])
-        if c.xi[i - 1] == 0:
-            return YPolynomial.from_monomial(y_alpha(c, gamma))
-        series = gr_series(c, quiverrep.indecomposable_rep(c, c.simple_root(i)))
-        return _series_to_qchar(c, y_alpha(c, gamma), series)
-    beta = quiverrep.reflect_i1(c, gamma)
-    if min(beta) < 0:
-        return YPolynomial.from_monomial(y_alpha(c, gamma))
-    series = gr_series(c, quiverrep.indecomposable_rep(c, beta))
-    return _series_to_qchar(c, y_alpha(c, gamma), series)
 
 
 def trunc_qchar_c1(c: CartanData, m: YMonomial, cap: int = 100000) -> YPolynomial:
@@ -423,8 +403,8 @@ def trunc_qchar_c1(c: CartanData, m: YMonomial, cap: int = 100000) -> YPolynomia
     simple tensor product is the product of the factor truncations.
     """
     out = YPolynomial.one()
-    for f in factor_simple_c1(c, m, cap):
-        out = out * _factor_trunc_qchar(c, f)
+    for e in _factor_entries(c, m, cap):
+        out = out * _trunc(c, e)
     return out
 
 

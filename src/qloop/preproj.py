@@ -180,16 +180,21 @@ def standard_qchar(c: CartanData, W) -> YPolynomial:
     for (i, r), mult in sorted(W.items()):
         parts.extend([injective_module(window, i, r)] * mult)
     top = YMonomial([((i, r), mult) for (i, r), mult in W.items()])
-    return _grassmannian_qchar(window, rep_direct_sum(parts), top)
+    return a_inverse_qchar(
+        c, top, quiverrep.euler_series(rep_direct_sum(parts)).items())
 
 
-def _grassmannian_qchar(window: ZQWindow, delta: QuiverRep,
-                        top: YMonomial) -> YPolynomial:
-    series = quiverrep.euler_series(delta)
+def a_inverse_qchar(c: CartanData, top: YMonomial, series) -> YPolynomial:
+    """top times the sum of chi prod A[j, s+1]^-n over series' (nu, chi).
+
+    series holds (nu, chi) pairs and is read twice: nu lists (vertex
+    (j, s), n) pairs, and chi is the Euler characteristic of the quiver
+    Grassmannian of subrepresentations of dimension nu.
+    """
     # the exponent pairs of A[j, s+1]^-1, once per vertex (j, s)
-    a_inv = {v: a_monomial_exps(window.c, v[0], v[1] + 1).inverse().key
-             for v in {v for nu in series for v, _ in nu}}
+    a_inv = {v: a_monomial_exps(c, v[0], v[1] + 1).inverse().key
+             for v in {v for nu, _ in series for v, _ in nu}}
     return YPolynomial(lpoly.LPoly(
         (lpoly.mono(chain(top.key, ((y, e * n) for v, n in nu
                                     for y, e in a_inv[v]))), chi)
-        for nu, chi in series.items()))
+        for nu, chi in series))

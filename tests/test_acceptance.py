@@ -197,8 +197,8 @@ def test_criterion_09_factorization_roundtrip(capsys):
     rng = random.Random(909)
     graph = level1_graph(A3)
     gens = engine._generators(A3, graph)
-    by_ident = {g[2]: g for g in gens if g[2] is not None}
-    frozen_gens = [g for g in gens if g[2] is None]
+    by_ident = {g.variable.ident: g for g in gens if g.variable}
+    frozen_gens = [g for g in gens if g.variable is None]
     for _ in range(50):
         cluster_ids = sorted(rng.choice(graph.clusters))
         size = rng.randint(1, 4)
@@ -208,7 +208,7 @@ def test_criterion_09_factorization_roundtrip(capsys):
             chosen[-1] = rng.choice(frozen_gens)
         m = YMonomial.one()
         expected = []
-        for factor, mono, _ in chosen:
+        for factor, mono, _, _ in chosen:
             m = m * mono
             expected.append(factor)
         got = factor_simple_c1(A3, m)

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from cluster_oracle import cluster_key, frozen_expansion
+from cluster_oracle import (cluster_key, frozen_expansion,
+                            variable_by_denominator)
 from qloop import cluster
 from qloop.cartan import CartanData
 from qloop.cluster import (ClusterVariable, _gvector, _principal_seed,
                            classify_finite_type,
                            enumerate_exchange_graph, f_polynomial_and_gvector,
-                           gamma_seed, mutate, ring_key,
-                           variable_by_denominator)
+                           gamma_seed, mutate, ring_key)
 from qloop.errors import (CapExceededError, ConsistencyError,
                           InvalidInputError)
 from qloop.lpoly import LPoly

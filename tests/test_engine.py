@@ -19,10 +19,11 @@ from qloop.engine import (KRLabel, cluster_fpoly, factor_simple_c1,
 from qloop.cli import main
 from qloop.errors import ConsistencyError, InvalidInputError
 from qloop.lpoly import LPoly
-from qloop.quiverrep import euler_series, indecomposable_rep
+from qloop.preproj import a_inverse_qchar
+from qloop.quiverrep import euler_series, indecomposable_rep, reflect_i1
 from qloop.sl2 import kr_qchar_sl2
-from qloop.ymono import (YMonomial, YPolynomial, dominant_terms,
-                         highest_monomial, truncate_c1)
+from qloop.ymono import (YMonomial, YPolynomial, a_monomial_exps,
+                         dominant_terms, highest_monomial, truncate_c1)
 
 A1 = CartanData.from_label("A1")
 A2 = CartanData.from_label("A2")
@@ -391,6 +392,84 @@ def test_d4_long_root_fpoly_has_a_coefficient_two():
     assert fpoly == gr_series(D4, indecomposable_rep(D4, (1, 1, 2, 1)))
 
 
+def test_level1_table_holds_each_almost_positive_root_once():
+    for label in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
+        c = CartanData.from_label(label)
+        graph = level1_graph(c)
+        gens = engine._generators(c, graph)
+        assert [e.factor for e in gens[:c.n]] == [
+            engine.PrimeFactor("frozen", node=i) for i in c.nodes()]
+        simples = gens[c.n:]
+        negatives = [tuple(-x for x in c.simple_root(i)) for i in c.nodes()]
+        assert (sorted(e.factor.gamma for e in simples)
+                == sorted(list(c.positive_roots()) + negatives)), label
+        assert ({e.variable.ident for e in simples}
+                == set(graph.variables)), label
+        for e in simples:
+            # the initial variables carry the denominators -alpha_i
+            d = e.beta or tuple(-abs(x) for x in e.factor.gamma)
+            assert e.variable.dvector == d, (label, e.factor)
+            assert e.monomial == y_alpha(c, e.factor.gamma)
+
+
+def test_a_inverse_rule_at_level_one_is_the_v_product():
+    # the level-1 correction variables v_i = A[i, xi_i + 1]^-1, as a
+    # product over each Grassmannian series term
+    for c in (A3, D4):
+        v = {i: a_monomial_exps(c, i, c.xi[i - 1] + 1) ** -1
+             for i in c.nodes()}
+        for beta in c.positive_roots():
+            top = y_alpha(c, reflect_i1(c, beta))
+            series = gr_series(c, indecomposable_rep(c, beta))
+            terms = []
+            for nu, chi in series.items():
+                mono = top
+                for i, e in nu:
+                    mono = mono * v[i] ** e
+                terms.append((mono, chi))
+            shared = a_inverse_qchar(
+                c, top, series.map_keys(lambda i: (i, c.xi[i - 1])).items())
+            assert shared == YPolynomial(terms), beta
+            assert simple_trunc_qchar_c1(c, beta) == shared, beta
+
+
+def test_cluster_fpoly_replays_only_the_variable_it_returns(monkeypatch):
+    from qloop import cluster
+    E6 = CartanData.from_label("E6")
+    # a fresh graph, so that no variable has been replayed yet
+    monkeypatch.setattr(engine, "_GRAPH_CACHE", {})
+    calls = []
+    mutate = cluster.mutate
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(cluster, "mutate", counted)
+    beta = (1, 1, 2, 2, 1, 1)
+    cluster_fpoly(E6, beta)
+    replayed = [cv for cv in level1_graph(E6).variables.values()
+                if "principal" in vars(cv)]
+    assert [cv.dvector for cv in replayed] == [beta]
+    assert len(calls) == len(replayed[0].path) > 0
+
+
+def test_factor_rejects_a_table_with_a_duplicated_entry(monkeypatch):
+    table = engine._generators
+    monkeypatch.setattr(engine, "_generators",
+                        lambda c, graph: table(c, graph) + table(c, graph)[-1:])
+    m = table(A3, level1_graph(A3))[-1].monomial
+    with pytest.raises(ConsistencyError, match="2 factorizations found"):
+        factor_simple_c1(A3, m)
+
+
+def test_factor_rejects_a_wrong_generic_decomposition(monkeypatch):
+    monkeypatch.setattr(engine.quiverrep, "generic_decomposition",
+                        lambda c, d: [])
+    with pytest.raises(ConsistencyError, match="disagrees"):
+        factor_simple_c1(A3, Y((1, 0, 1), (2, 3, 1), (3, 0, 1)))
+
+
 def test_factor_single_prime():
     m = Y((1, 0, 1), (2, 3, 1), (3, 0, 1))
     factors = factor_simple_c1(A3, m)
@@ -424,8 +503,8 @@ def test_factor_roundtrip_random_products():
     rng = random.Random(99)
     graph = level1_graph(A3)
     gens = engine._generators(A3, graph)
-    by_ident = {g[2]: g for g in gens if g[2] is not None}
-    frozen_gens = [g for g in gens if g[2] is None]
+    by_ident = {g.variable.ident: g for g in gens if g.variable}
+    frozen_gens = [g for g in gens if g.variable is None]
     for _ in range(30):
         cl = rng.choice(graph.clusters)
         idents = rng.sample(sorted(cl), rng.randint(1, 3))
@@ -435,7 +514,7 @@ def test_factor_roundtrip_random_products():
             continue
         m = YMonomial.one()
         expected = []
-        for factor, mono, _ in chosen:
+        for factor, mono, _, _ in chosen:
             m = m * mono
             expected.append(factor)
         got = factor_simple_c1(A3, m)
@@ -459,7 +538,8 @@ def test_trunc_qchar_equals_direct_generic_rep_series():
     pieces = [indecomposable_rep(A2, b)
               for b in generic_decomposition(A2, (2, 1))]
     series = gr_series(A2, rep_direct_sum(pieces))
-    direct = engine._series_to_qchar(A2, m, series)
+    direct = a_inverse_qchar(
+        A2, m, series.map_keys(lambda i: (i, A2.xi[i - 1])).items())
     assert trunc_qchar_c1(A2, m) == direct
 
 
@@ -517,7 +597,8 @@ def test_simple_trunc_is_top_monomial_times_fpoly():
         from qloop.quiverrep import reflect_i1
         top = y_alpha(A3, reflect_i1(A3, beta))
         fpoly = cluster_fpoly(A3, beta)
-        assert poly == engine._series_to_qchar(A3, top, fpoly)
+        assert poly == a_inverse_qchar(
+            A3, top, fpoly.map_keys(lambda i: (i, A3.xi[i - 1])).items())
 
 
 def _rectangle_dim(n_plus_1, rows, cols):
