@@ -233,10 +233,14 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
     unit = rows0[n:]
     names = tuple(name(g, (), v) for v, g in zip(mutable, unit))
     seen = {frozenset(names)}
-    queue = deque([(rows0, unit, (), names)])
+    # each queued seed carries the index it was mutated at: mutating
+    # back there gives its parent's cluster, which is already seen
+    queue = deque([(rows0, unit, (), names, None)])
     while queue:
-        rows, g, path, names = queue.popleft()
+        rows, g, path, names, back = queue.popleft()
         for k, vk in enumerate(mutable):
+            if k == back:
+                continue
             gk = [-x for x in g[k]]
             for gi, row in zip(g, rows):  # the n rows of B
                 e = row[k]
@@ -260,7 +264,7 @@ def enumerate_exchange_graph(seed: Seed, cap: int = 100000) -> ExchangeGraph:
                     "infinite or very large type")
             seen.add(nkey)
             queue.append((_mutate_rows(rows, k), g[:k] + (gk,) + g[k + 1:],
-                          npath, nnames))
+                          npath, nnames, k))
     return ExchangeGraph(seed, tuple(sorted(seen, key=sorted)), variables)
 
 

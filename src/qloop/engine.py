@@ -371,26 +371,29 @@ def _factor_entries(c: CartanData, m: YMonomial, cap: int) -> list:
 
 def _exact_cover(graph, gens, m) -> list:
     """Multisets of gens whose monomials multiply to m, with pairwise
-    compatible variables; the search stops at the second one."""
+    compatible variables; the search stops at the second one.  Each
+    level fixes one generator's multiplicity, the largest first, so the
+    search is at most len(gens) + 1 deep."""
     solutions = []
 
-    def search(idx, remaining, chosen):
+    def search(start, remaining, chosen):
         if len(solutions) > 1:
             return
         if remaining.is_one():
             solutions.append(chosen)
             return
-        if idx == len(gens):
-            return
-        e = gens[idx]
-        rest = remaining / e.monomial
-        # include gens[idx] once more, then skip past it
-        if all(x >= 0 for _, x in rest.key) and (
-                e.variable is None or all(
+        for idx in range(start, len(gens)):
+            e = gens[idx]
+            takes = []
+            rest = remaining / e.monomial
+            while all(x >= 0 for _, x in rest.key):
+                takes.append(rest)
+                rest = rest / e.monomial
+            if takes and (e.variable is None or all(
                     graph.compatible(e.variable.ident, o.variable.ident)
                     for o in chosen if o.variable not in (None, e.variable))):
-            search(idx, rest, chosen + [e])
-        search(idx + 1, remaining, chosen)
+                for k in range(len(takes), 0, -1):
+                    search(idx + 1, takes[k - 1], chosen + [e] * k)
 
     search(0, m, [])
     return solutions

@@ -1,35 +1,26 @@
-"""Exact dense linear algebra over Q (Fraction) and prime fields.
+"""Exact dense linear algebra over Q and over prime fields.
 
-Matrices are lists of row lists acting on column vectors.  Subspaces of
+Matrices are lists of row lists acting on column vectors, with plain
+int entries over both fields.  Over Q they are integer matrices, and
+`rref` eliminates fraction-free: no entry ever leaves the integers.
+Over F_p the functions given a GF reduce entries `% p`.  Subspaces of
 F_p^n are represented by basis matrices, one basis vector per row; a
-basis is not canonical unless it is the row set of an `rref`.  Over F_p
-entries are plain ints, and the functions given a GF reduce them `% p`.
+basis is not canonical unless it is the row set of an `rref`.
 `cokernel` is the one integer quotient rule: the knitted injectives and
 the reflected Dynkin indecomposables both take their spaces from it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from operator import mul
 
 from .errors import ConsistencyError
 
 
 class QQ:
-    """Rational field operations."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def of(x):
-        return Fraction(x)
-
-    @staticmethod
-    def inv(x):
-        return 1 / Fraction(x)
+    """The rational field, as a marker: its matrices have int entries."""
 
 
 class GF:
@@ -37,38 +28,47 @@ class GF:
 
     def __init__(self, p: int):
         self.p = p
-        self.zero = 0
-        self.one = 1
-
-
-def _normalize(field, x):
-    return x % field.p if isinstance(field, GF) else x
 
 
 def rref(rows, field):
-    """Row-reduce a copy of rows; returns (reduced rows, pivot columns)."""
+    """Row-reduce a copy of rows; returns (reduced rows, pivot columns).
+
+    Over F_p the rows are the reduced row echelon form, each pivot 1.
+    Over Q, Gauss-Jordan runs on integers: a row is combined with the
+    pivot row as a * row - f * pivot row, then divided by its content.
+    Row r of the result is the primitive integer multiple of row r of
+    the rational reduced echelon form whose pivot is positive, so that
+    form's entry in column f is row[f] / row[pivots[r]].
+    """
     if isinstance(field, GF):
         return _rref_mod(rows, field.p)
-    mat = [[field.of(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
     pivots = []
     r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, len(mat)) if mat[k][c]), None)
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((k for k in range(r, nrows) if mat[k][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [v * inv for v in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c]:
-                f = mat[k][c]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
+        row = mat[r]
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        if g != 1:
+            row = mat[r] = [v // g for v in row]
+        a = row[c]
+        for k in range(nrows):
+            f = mat[k][c]
+            if f and k != r:
+                g = gcd(a, f)
+                ak, fk = a // g, f // g
+                new = [ak * x - fk * y for x, y in zip(mat[k], row)]
+                g = gcd(*new)
+                mat[k] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
-    return [row for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def _rref_mod(rows, p):
@@ -102,15 +102,15 @@ def rank(rows, field) -> int:
 
 
 def nullspace(rows, ncols, field):
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
+    """Basis of {x : A x = 0} over F_p for the matrix with the given rows."""
     red, pivots = rref(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
+        vec = [0] * ncols
+        vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = _normalize(field, -red[r][fc])
+            vec[pc] = -red[r][fc] % field.p
         basis.append(vec)
     return basis
 
@@ -149,9 +149,10 @@ def cokernel(images, width):
     free = [k for k in range(width) if k not in pivots]
     cls = [[int(k == f) for f in free] for k in range(width)]
     for row, pc in zip(red, pivots):
-        if any(row[f].denominator != 1 for f in free):
+        a = row[pc]
+        if any(row[f] % a for f in free):
             raise ConsistencyError("cokernel has a non-integral class")
-        cls[pc] = [-int(row[f]) for f in free]
+        cls[pc] = [-(row[f] // a) for f in free]
     return cls
 
 

@@ -242,24 +242,26 @@ def generic_decomposition(c: CartanData, d) -> list[tuple]:
     roots = sorted(c.positive_roots(), key=lambda r: (-sum(r), r))
     solutions = []
 
-    def search(remaining, start, chosen):
+    # each level fixes one root's multiplicity, the largest first, so
+    # the search is at most len(roots) + 1 deep
+    def search(start, remaining, chosen):
         if len(solutions) > 1:
             return
         if not any(remaining):
-            solutions.append(list(chosen))
+            solutions.append(chosen)
             return
         for idx in range(start, len(roots)):
             r = roots[idx]
-            if any(a > b for a, b in zip(r, remaining)):
-                continue
-            if any(not _ext_orthogonal(c, prev, r) for prev in chosen
-                   if prev != r):
-                continue
-            chosen.append(r)
-            search(tuple(a - b for a, b in zip(remaining, r)), idx, chosen)
-            chosen.pop()
+            takes = []
+            rest = tuple(a - b for a, b in zip(remaining, r))
+            while all(x >= 0 for x in rest):
+                takes.append(rest)
+                rest = tuple(a - b for a, b in zip(rest, r))
+            if takes and all(_ext_orthogonal(c, prev, r) for prev in chosen):
+                for k in range(len(takes), 0, -1):
+                    search(idx + 1, takes[k - 1], chosen + [r] * k)
 
-    search(d, 0, [])
+    search(0, d, [])
     if len(solutions) != 1:
         raise ConsistencyError(
             f"generic decomposition of {d} is not unique ({len(solutions)} found)")
@@ -523,14 +525,17 @@ def _inverse_vandermonde(xs: tuple):
     """(den, W): W / den is the inverse of the Vandermonde matrix of xs.
 
     Row k of W / den maps the values at xs to the coefficient of x^k.
-    One rref over Q of [V | I] gives it; W is an integer matrix.
+    One integer rref over Q of [V | I] gives it: its row k is a positive
+    pivot d_k at column k, then d_k times row k of the inverse, so den
+    is the lcm of the pivots.
     """
     n = len(xs)
     aug = [[x ** k for k in range(n)] + [int(i == j) for j in range(n)]
            for i, x in enumerate(xs)]
-    inv = [row[n:] for row in linalg.rref(aug, QQ)[0]]
-    den = lcm(*(q.denominator for row in inv for q in row))
-    return den, tuple(tuple(int(q * den) for q in row) for row in inv)
+    red = linalg.rref(aug, QQ)[0]
+    den = lcm(*(row[k] for k, row in enumerate(red)))
+    return den, tuple(tuple(den // row[k] * q for q in row[n:])
+                      for k, row in enumerate(red))
 
 
 def grassmannian_euler(M: QuiverRep, nu) -> int:

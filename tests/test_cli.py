@@ -262,10 +262,10 @@ _UNUSED_MODULES = (
      {"qloop.quiverrep", "qloop.linalg", "qloop.preproj", "qloop.engine",
       "qloop.cluster", "fractions"}),
     (("qchar", "fundamental", "--type", "A2", "--node", "1", "--shift", "0"),
-     {"qloop.engine", "qloop.cluster", "qloop.sl2"}),
+     {"qloop.engine", "qloop.cluster", "qloop.sl2", "fractions", "decimal"}),
     (("verify", "tsystem", "--type", "A2", "--node", "1", "--k", "1",
-      "--s", "0"), {"qloop.cluster", "qloop.sl2"}),
-    (("verify", "l1", "--type", "A2"), set()),
+      "--s", "0"), {"qloop.cluster", "qloop.sl2", "fractions", "decimal"}),
+    (("verify", "l1", "--type", "A2"), {"fractions", "decimal"}),
     (("rep", "roots", "--type", "A2"),
      {"qloop.quiverrep", "qloop.linalg", "fractions"}),
 )

@@ -492,6 +492,14 @@ def test_factor_compatible_pair():
     assert gammas == [(1, 0, 0), (1, 1, 0)]
 
 
+def test_factor_a_power_deeper_than_the_recursion_limit():
+    # the search fixes each generator's multiplicity in one step, so a
+    # factor repeated 1200 times costs one level, not 1200
+    factors = factor_simple_c1(A1, Y((1, 0, 1200)))
+    assert factors == [factors[0]] * 1200
+    assert factors[0].kind == "simple" and factors[0].gamma == (1,)
+
+
 def test_factor_rejects_monomials_outside_level_one():
     with pytest.raises(InvalidInputError):
         factor_simple_c1(A3, Y((1, 4, 1)))

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from fraction_oracle import rref_q
 from qloop import linalg
 from qloop.errors import ConsistencyError
-from qloop.linalg import GF
+from qloop.linalg import GF, QQ
 
 
 def _naive_rref_mod(rows, p):
@@ -87,3 +90,55 @@ def test_cokernel_rejects_a_non_integral_class():
     # e0 = -e1/2 modulo (2, 1)
     with pytest.raises(ConsistencyError):
         linalg.cokernel([[2, 1]], 2)
+
+
+def _random_int_matrix(rng):
+    """Entries -5..5, shapes up to 7 x 7, some rows combinations of two."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    mat = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(nrows), 3)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        mat[k] = [a * x + b * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+_INT_CASES = [[], [[]], [[], []], [[0, 0], [0, 0]], [[-2, 4, 6]],
+              [[0, -3, 6], [2, 1, 1]], [[2, 1], [4, 2]], [[4, 6], [6, 9]],
+              [[-5, 3, 1], [3, -5, 2], [1, 1, -5]]]
+
+
+def test_q_rref_matches_the_fraction_oracle():
+    rng = random.Random(2025)
+    for rows in _INT_CASES + [_random_int_matrix(rng) for _ in range(2000)]:
+        before = [list(row) for row in rows]
+        red, pivots = linalg.rref(rows, QQ)
+        want, want_pivots = rref_q(rows)
+        assert rows == before
+        assert pivots == want_pivots and len(red) == len(want), rows
+        assert linalg.rank(rows, QQ) == len(want_pivots)
+        for row, pc, wrow in zip(red, pivots, want):
+            assert all(type(x) is int for x in row), rows
+            assert row[pc] > 0 and gcd(*row) == 1, rows
+            assert [Fraction(x, row[pc]) for x in row] == wrow, rows
+
+
+def test_cokernel_matches_the_fraction_oracle():
+    rng = random.Random(7)
+    raised = 0
+    for rows in _INT_CASES + [_random_int_matrix(rng) for _ in range(500)]:
+        if not rows or not rows[0]:
+            continue
+        width = len(rows[0])
+        red, pivots = rref_q(rows)
+        free = [k for k in range(width) if k not in pivots]
+        want = [[Fraction(int(k == f)) for f in free] for k in range(width)]
+        for row, pc in zip(red, pivots):
+            want[pc] = [-row[f] for f in free]
+        if all(x.denominator == 1 for cls in want for x in cls):
+            assert linalg.cokernel(rows, width) == want, rows
+        else:
+            raised += 1
+            with pytest.raises(ConsistencyError):
+                linalg.cokernel(rows, width)
+    assert raised

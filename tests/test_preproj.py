@@ -1,13 +1,13 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 import golden_data
+from fraction_oracle import rank_q, rref_q
 from weyl_oracle import weyl_invariant_weights
-from qloop import linalg
 from qloop.cartan import CartanData
 from qloop.errors import InvalidInputError, WindowTooSmallError
-from qloop.linalg import QQ
 from qloop.preproj import (a_inverse_qchar, build_window, check_relations,
                            fundamental_qchar, injective_module, standard_qchar)
 from qloop.quiverrep import (QuiverRep, _support_walk, euler_series,
@@ -323,7 +323,7 @@ def _relation_vectors(window, v, target, paths, index):
 
 def _quotient_data(vectors, dim):
     """Quotient of Q^dim by the span: (rref rows, pivots, basis indices)."""
-    red, pivots = linalg.rref(vectors, QQ) if vectors else ([], [])
+    red, pivots = rref_q(vectors)
     return red, pivots, [i for i in range(dim) if i not in pivots]
 
 
@@ -344,8 +344,8 @@ def _path_space_injective(window, i, r):
         _, _, free_t, _, plist_t = quots[a[1]]
         rows = []
         for p in (plist_t[k] for k in free_t):
-            vec = [QQ.zero] * len(index_s)
-            vec[index_s[(a,) + p]] = QQ.one
+            vec = [Fraction(0)] * len(index_s)
+            vec[index_s[(a,) + p]] = Fraction(1)
             for row, pc in zip(red, pivots):
                 f = vec[pc]
                 if f:
@@ -366,8 +366,8 @@ def test_knitted_injectives_match_path_space_oracle(label):
         oracle = _path_space_injective(w, i, r)
         assert knit.dims == oracle.dims, (label, i)
         for a in w.quiver.arrows:
-            assert (linalg.rank(knit.mats[a], QQ)
-                    == linalg.rank(oracle.mats[a], QQ)), (label, i, a)
+            assert (rank_q(knit.mats[a])
+                    == rank_q(oracle.mats[a])), (label, i, a)
             assert all(type(x) is int for row in knit.mats[a] for x in row)
         assert check_relations(w, oracle)
         # fundamental_qchar is the Grassmannian sum over the knitted one

@@ -1,8 +1,10 @@
 import itertools
 import random
+from math import lcm
 
 import pytest
 
+from fraction_oracle import inverse_q, rref_q
 from qloop import linalg, quiverrep
 from qloop.cartan import CartanData
 from qloop.errors import ConsistencyError, InvalidInputError
@@ -53,7 +55,7 @@ def test_indecomposable_d4_highest_root():
     for outer in (1, 2, 4):
         col = [row[0] for row in m.mats[(outer, 3)]]
         assert any(col), "outer map must be injective"
-        images.append(linalg.rref([col], linalg.QQ)[0])
+        images.append(rref_q([col])[0])
     assert len({tuple(map(tuple, img)) for img in images}) == 3
     assert hom_dim(m, m) == 1
 
@@ -116,6 +118,11 @@ def test_generic_decomposition_examples():
     for c in (A2, A3, D4):
         for beta in c.positive_roots():
             assert generic_decomposition(c, beta) == [beta]
+
+
+def test_generic_decomposition_deeper_than_the_recursion_limit():
+    A1 = CartanData.from_label("A1")
+    assert generic_decomposition(A1, (1200,)) == [(1,)] * 1200
 
 
 def test_generic_decomposition_rejects_negative():
@@ -298,6 +305,17 @@ def test_interpolate_at_one_recovers_a_known_polynomial():
     assert interpolate_at_one(points, 3) == 6
     assert interpolate_at_one(points, 4) == 6
     assert interpolate_at_one([(2, 7), (3, 7)], 0) == 7
+
+
+def test_inverse_vandermonde_matches_the_fraction_oracle():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for n in range(1, 9):
+        for xs in itertools.combinations(primes, n):
+            den, w = quiverrep._inverse_vandermonde(xs)
+            inv = inverse_q([[x ** k for k in range(n)] for x in xs])
+            assert den == lcm(*(q.denominator for row in inv for q in row))
+            assert all(type(x) is int for row in w for x in row)
+            assert w == tuple(tuple(q * den for q in row) for row in inv), xs
 
 
 def test_interpolate_at_one_rejects_a_negative_degree_bound():
